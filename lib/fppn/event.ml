@@ -42,29 +42,33 @@ let count_periodic_jobs t ~horizon =
   let periods = Rat.ceil (Rat.div horizon t.period) in
   t.burst * periods
 
+(* In an ascending trace, the window (s_i - T, s_i] ending at the i-th
+   stamp holds more than m stamps iff it holds s_(i-m), i.e. iff
+   s_(i-m) + T > s_i.  Windows anchored at stamps suffice because a
+   maximal violating window can always be slid right until its right
+   edge hits a stamp; so one pass decides the whole trace, with a
+   second cursor trailing m stamps behind. *)
 let is_valid_sporadic_trace t stamps =
-  let rec ascending = function
-    | [] | [ _ ] -> true
-    | a :: (b :: _ as rest) -> Rat.(a <= b) && ascending rest
+  let rec ordered prev = function
+    | [] -> true
+    | s :: rest -> Rat.(prev <= s) && ordered s rest
   in
-  let non_negative = List.for_all (fun s -> Rat.sign s >= 0) stamps in
-  (* window check: for the i-th stamp s, the stamps in (s - T, s] must
-     number at most m.  Checking windows anchored at each stamp is
-     sufficient because a maximal violating window can always be slid
-     right until its right edge hits a stamp. *)
-  let arr = Array.of_list stamps in
-  let n = Array.length arr in
-  let window_ok i =
-    let s = arr.(i) in
-    let lo = Rat.sub s t.period in
-    let count = ref 0 in
-    for j = 0 to i do
-      if Rat.(arr.(j) > lo) then incr count
-    done;
-    !count <= t.burst
+  let rec windows trail lead =
+    match (trail, lead) with
+    | old :: trail, s :: lead -> Rat.(add old t.period <= s) && windows trail lead
+    | _, [] | [], _ -> true
   in
-  let rec all_windows i = i >= n || (window_ok i && all_windows (i + 1)) in
-  ascending stamps && non_negative && all_windows 0
+  let rec drop k l =
+    if k = 0 then Some l
+    else match l with [] -> None | _ :: l -> drop (k - 1) l
+  in
+  (match stamps with
+  | [] -> true
+  | first :: _ -> Rat.sign first >= 0 && ordered first stamps)
+  &&
+  match drop t.burst stamps with
+  | None -> true
+  | Some lead -> windows stamps lead
 
 let random_sporadic_trace t prng ~horizon ~density =
   if density < 0.0 || density > 1.0 then
@@ -75,15 +79,24 @@ let random_sporadic_trace t prng ~horizon ~density =
   let horizon_ms = Rat.floor horizon in
   let period_f = Rat.to_float t.period in
   let p_event = density *. float_of_int t.burst /. period_f in
+  (* the last [m_e] accepted stamps in a ring: a candidate keeps the
+     trace valid iff fewer than [m_e] were accepted so far or the
+     [m_e]-th most recent one lies outside the window ending at it *)
   let accepted = ref [] in
-  let window_count stamp =
-    let lo = Rat.sub stamp t.period in
-    List.length (List.filter (fun s -> Rat.(s > lo)) !accepted)
-  in
+  let recent = Array.make t.burst 0 in
+  let n_acc = ref 0 in
   for ms = 0 to horizon_ms - 1 do
     if Prng.float prng 1.0 < p_event then begin
       let stamp = Rat.of_int ms in
-      if window_count stamp < t.burst then accepted := stamp :: !accepted
+      let slot = !n_acc mod t.burst in
+      if
+        !n_acc < t.burst
+        || Rat.(of_int recent.(slot) <= sub stamp t.period)
+      then begin
+        accepted := stamp :: !accepted;
+        recent.(slot) <- ms;
+        incr n_acc
+      end
     end
   done;
   let stamps = List.rev !accepted in

@@ -22,14 +22,25 @@ let permute_simultaneous prng trace =
   in
   loop [] trace
 
-(* Greedily extend [acc] with ascending stamps, keeping only those that
-   leave the trace valid for [ev].  Quadratic, but traces are short. *)
+(* Greedily extend the trace with the given stamps in order, keeping
+   only those that leave it valid for [ev].  The kept prefix is always
+   valid, so a candidate only has to be non-negative, not below the
+   last kept stamp, and at least [T] after the [m_e]-th most recent kept
+   one — the check {!Event.is_valid_sporadic_trace} makes at the new
+   last stamp. *)
 let greedy_valid ev stamps =
-  List.fold_left
-    (fun acc t ->
-      let ext = acc @ [ t ] in
-      if Event.is_valid_sporadic_trace ev ext then ext else acc)
-    [] stamps
+  let fits rev_kept t =
+    Rat.sign t >= 0
+    && (match rev_kept with [] -> true | last :: _ -> Rat.(last <= t))
+    &&
+    match List.nth_opt rev_kept (ev.Event.burst - 1) with
+    | None -> true
+    | Some s -> Rat.(add s ev.Event.period <= t)
+  in
+  List.rev
+    (List.fold_left
+       (fun rev_kept t -> if fits rev_kept t then t :: rev_kept else rev_kept)
+       [] stamps)
 
 let boundary_traces net (d : Derive.t) ~frames ~seed =
   let h = d.Derive.hyperperiod in

@@ -17,6 +17,12 @@ val permute_simultaneous :
     interpreter must produce identical channel histories for any such
     permutation. *)
 
+val greedy_valid : Fppn.Event.t -> Rt_util.Rat.t list -> Rt_util.Rat.t list
+(** [greedy_valid ev stamps] keeps, in order, each stamp that leaves the
+    kept trace valid for [ev] ({!Fppn.Event.is_valid_sporadic_trace}),
+    and drops the rest.  Linear: each candidate is checked against the
+    last kept stamp and the [m_e]-th most recent one. *)
+
 val boundary_traces :
   Fppn.Network.t ->
   Taskgraph.Derive.t ->

@@ -50,82 +50,9 @@ let channel_history r = Lazy.force r.channel_history
 let output_history r = Lazy.force r.output_history
 let overhead_segments r = Lazy.force r.overhead_segments
 
-(* Map every (server job id, frame) to the real sporadic event it
-   handles, applying the Fig. 2 boundary rule.  Returns the map plus the
-   events that fall beyond the last simulated window. *)
-let assign_sporadic_events net (derived : Derive.t) ~frames ~hyperperiod traces =
-  let g = derived.Derive.graph in
-  let assigned : (int * int, Rat.t) Hashtbl.t = Hashtbl.create 64 in
-  let unhandled = ref [] in
-  List.iter
-    (fun (s : Derive.server_info) ->
-      let p = s.Derive.sporadic in
-      let name = Process.name (Network.process net p) in
-      let stamps =
-        match List.assoc_opt name traces with Some l -> l | None -> []
-      in
-      let ev = Process.event (Network.process net p) in
-      if not (Event.is_valid_sporadic_trace ev stamps) then
-        invalid_arg
-          (Printf.sprintf "Engine.run: sporadic trace of %S violates (m,T)" name);
-      let ts = s.Derive.server_period in
-      let burst = Process.burst (Network.process net p) in
-      let slots_per_frame = Rat.to_int_exn (Rat.div hyperperiod ts) in
-      let in_window ~b stamp =
-        let lo = Rat.sub b ts in
-        if s.Derive.boundary_closed_right then Rat.(stamp > lo) && Rat.(stamp <= b)
-        else Rat.(stamp >= lo) && Rat.(stamp < b)
-      in
-      let consumed = Hashtbl.create 16 in
-      (* no real events: every slot of this server is 'false' and the
-         whole window scan (frames · slots rational steps) is a no-op *)
-      if stamps <> [] then
-      for frame = 0 to frames - 1 do
-        for slot = 1 to slots_per_frame do
-          let rel = Rat.mul ts (Rat.of_int (slot - 1)) in
-          let b = Rat.add (Rat.mul hyperperiod (Rat.of_int frame)) rel in
-          (* positions within the subset, in stamp order *)
-          let idx = ref 0 in
-          List.iteri
-            (fun i stamp ->
-              if (not (Hashtbl.mem consumed i)) && in_window ~b stamp then begin
-                incr idx;
-                if !idx <= burst then begin
-                  Hashtbl.replace consumed i ();
-                  let k = ((slot - 1) * burst) + !idx in
-                  let job_id = Graph.find_job g ~proc:p ~k in
-                  Hashtbl.replace assigned (job_id, frame) stamp
-                end
-              end)
-            stamps
-        done
-      done;
-      List.iteri
-        (fun i stamp ->
-          if not (Hashtbl.mem consumed i) then
-            unhandled := (name, stamp) :: !unhandled)
-        stamps)
-    derived.Derive.servers;
-  (assigned, List.rev !unhandled)
-
-let sporadic_assignment net derived ~frames traces =
-  assign_sporadic_events net derived ~frames
-    ~hyperperiod:derived.Derive.hyperperiod traces
-
-type proc_state = {
-  order : int array;
-  mutable frame : int;
-  mutable pos : int;
-  mutable busy_until : Rat.t option;
-  mutable running : (int * Exec_trace.record) option;
-      (** job id + its record-in-progress while busy *)
-}
-
-(* Validation + sporadic-window assignment shared by both interpreter
-   cores. *)
-let prologue net (derived : Derive.t) sched config =
-  let g = derived.Derive.graph in
-  let n = Graph.n_jobs g in
+(* Validation shared by both interpreter cores. *)
+let check_config net (derived : Derive.t) sched config =
+  let n = Graph.n_jobs derived.Derive.graph in
   if config.frames <= 0 then invalid_arg "Engine.run: frames must be positive";
   if Static_schedule.n_jobs sched <> n then
     invalid_arg "Engine.run: schedule does not cover the task graph";
@@ -141,9 +68,103 @@ let prologue net (derived : Derive.t) sched config =
       if not (Process.is_sporadic (Network.process net p)) then
         invalid_arg
           (Printf.sprintf "Engine.run: %S is periodic, not sporadic" name))
-    config.sporadic;
-  assign_sporadic_events net derived ~frames:config.frames
-    ~hyperperiod:derived.Derive.hyperperiod config.sporadic
+    config.sporadic
+
+(* Map every (server job id, frame) to the real sporadic event it
+   handles, applying the Fig. 2 boundary rule: [place ((frame · n) +
+   job) stamp] for each handled event.  Returns the events that fall
+   beyond the last simulated window or beyond the burst of their own.
+
+   The server's windows tile the time line: window [w] (counted from 0
+   across frames) is ((w-1)·T', w·T'] when right-closed and
+   [(w-1)·T', w·T') otherwise, so a stamp's window is ⌈s/T'⌉ or
+   ⌊s/T'⌋+1, computed once.  A valid trace ascends, so the stamps of
+   one window are consecutive and a running counter ranks them; the
+   rank-th stamp of window [w] goes to slot [w mod S] of frame [w / S]
+   while the rank is within the burst.  With the one-pass (m,T) check,
+   O(stamps). *)
+let assign_windows net (derived : Derive.t) ~frames traces ~place =
+  let g = derived.Derive.graph in
+  let n = Graph.n_jobs g in
+  let unhandled = ref [] in
+  List.iter
+    (fun (s : Derive.server_info) ->
+      let p = s.Derive.sporadic in
+      let name = Process.name (Network.process net p) in
+      let stamps =
+        match List.assoc_opt name traces with Some l -> l | None -> []
+      in
+      let ev = Process.event (Network.process net p) in
+      if not (Event.is_valid_sporadic_trace ev stamps) then
+        invalid_arg
+          (Printf.sprintf "Engine.run: sporadic trace of %S violates (m,T)" name);
+      let ts = s.Derive.server_period in
+      let burst = Process.burst (Network.process net p) in
+      let slots_per_frame =
+        Rat.to_int_exn (Rat.div derived.Derive.hyperperiod ts)
+      in
+      let closed_right = s.Derive.boundary_closed_right in
+      (* integer stamps and periods, the common case, skip the gcds *)
+      let window stamp =
+        if Rat.den stamp = 1 && Rat.den ts = 1 then
+          let a = Rat.num stamp and c = Rat.num ts in
+          let q = a / c in
+          if closed_right && q * c = a then q else q + 1
+        else if closed_right then Rat.ceil (Rat.div stamp ts)
+        else Rat.fdiv stamp ts + 1
+      in
+      (* the current window, its rank counter and, since windows only
+         grow, its frame and that frame's first window *)
+      let cur = ref (-1) and rank = ref 0 in
+      let frame = ref 0 and frame_w = ref 0 in
+      List.iter
+        (fun stamp ->
+          let w = window stamp in
+          if w <> !cur then begin
+            cur := w;
+            rank := 0
+          end;
+          incr rank;
+          if w < frames * slots_per_frame && !rank <= burst then begin
+            while w >= !frame_w + slots_per_frame do
+              incr frame;
+              frame_w := !frame_w + slots_per_frame
+            done;
+            let k = ((w - !frame_w) * burst) + !rank in
+            place ((!frame * n) + Graph.find_job g ~proc:p ~k) stamp
+          end
+          else unhandled := (name, stamp) :: !unhandled)
+        stamps)
+    derived.Derive.servers;
+  List.rev !unhandled
+
+(* The assignment as rationals for the reference core: flat at
+   [(frame · n) + job], [None] for a slot without a real event. *)
+let rat_assignment net (derived : Derive.t) ~frames traces =
+  let assigned = Array.make (Graph.n_jobs derived.Derive.graph * frames) None in
+  let unhandled =
+    assign_windows net derived ~frames traces ~place:(fun i stamp ->
+        assigned.(i) <- Some stamp)
+  in
+  (assigned, unhandled)
+
+let sporadic_assignment net (derived : Derive.t) ~frames traces =
+  let n = Graph.n_jobs derived.Derive.graph in
+  let table = Hashtbl.create 64 in
+  let unhandled =
+    assign_windows net derived ~frames traces ~place:(fun i stamp ->
+        Hashtbl.replace table (i mod n, i / n) stamp)
+  in
+  (table, unhandled)
+
+type proc_state = {
+  order : int array;
+  mutable frame : int;
+  mutable pos : int;
+  mutable busy_until : Rat.t option;
+  mutable running : (int * Exec_trace.record) option;
+      (** job id + its record-in-progress while busy *)
+}
 
 let overhead_segments_of config ~frame_base ~overhead_end =
   List.filter_map
@@ -229,7 +250,7 @@ let exec_rat net (derived : Derive.t) sched config ~assigned ~unhandled_events =
         else if not (preds_done ps.frame job) then false
         else begin
           let stamp =
-            if j.Job.is_server then Hashtbl.find_opt assigned (job, ps.frame)
+            if j.Job.is_server then assigned.((ps.frame * n) + job)
             else Some (Rat.add base j.Job.arrival)
           in
           match stamp with
@@ -359,7 +380,9 @@ type tick_plan = {
   is_server : bool array;
   proc_of : int array;  (* per job: scheduled processor *)
   body_proc : int array;  (* per job: network process index *)
-  stamp_t : (int * int, int) Hashtbl.t;  (* (job, frame) -> event ticks *)
+  mutable stamp_buf : int array;
+      (* per run: the stamps' ticks at [(frame · n) + job]; see
+         [tick_assignment] *)
   dur_t : int array option;
       (* per job: fixed duration ticks; [None] = draw per execution *)
 }
@@ -400,8 +423,10 @@ let bit_index b =
 (* Compile the run onto a tick grid, or [None] when any time cannot be
    represented (unpredictable execution-time model, common-denominator
    overflow, horizon too large) — the caller then uses the exact
-   rational core, so compilation failures degrade, never crash. *)
-let tick_compile net (derived : Derive.t) sched config ~assigned =
+   rational core, so compilation failures degrade, never crash.  The
+   grid covers the static times only, plus any extra [stamps]: a plan
+   compiled without stamps serves every run whose stamps land on it. *)
+let tick_compile ?(stamps = []) net (derived : Derive.t) sched config =
   let g = derived.Derive.graph in
   let n = Graph.n_jobs g in
   let jobs = Graph.jobs g in
@@ -419,7 +444,7 @@ let tick_compile net (derived : Derive.t) sched config ~assigned =
       let times =
         derived.Derive.hyperperiod :: ov.Platform.first_frame
         :: ov.Platform.steady_frame :: ov.Platform.per_access
-        :: Hashtbl.fold (fun _ stamp acc -> stamp :: acc) assigned []
+        :: stamps
         @ dur_times
         @ Array.to_list (Array.map (fun j -> j.Job.wcet) jobs)
         @ Array.to_list (Array.map (fun j -> j.Job.arrival) jobs)
@@ -437,8 +462,6 @@ let tick_compile net (derived : Derive.t) sched config ~assigned =
       let ov = config.platform.Platform.overhead in
       match
         let tk = Timebase.ticks tb in
-        let stamp_t = Hashtbl.create (Hashtbl.length assigned) in
-        Hashtbl.iter (fun key s -> Hashtbl.replace stamp_t key (tk s)) assigned;
         {
           tb;
           h_t = tk derived.Derive.hyperperiod;
@@ -453,7 +476,7 @@ let tick_compile net (derived : Derive.t) sched config ~assigned =
           is_server = Array.map (fun j -> j.Job.is_server) jobs;
           proc_of = Array.init n (Static_schedule.proc sched);
           body_proc = Array.map (fun j -> j.Job.proc) jobs;
-          stamp_t;
+          stamp_buf = [||];
           dur_t =
             (match durs with
             | Exec_time.Fixed a -> Some (Array.map tk a)
@@ -462,6 +485,28 @@ let tick_compile net (derived : Derive.t) sched config ~assigned =
       with
       | plan -> Some plan
       | exception (Timebase.Inexact | Rat.Overflow) -> None))
+
+(* The Fig. 2 assignment straight onto [plan]'s grid: [Some (table,
+   unhandled)] with the table flat at [(frame · n) + job], [min_int] for
+   a slot without a real event and [[||]] for a run without any, or
+   [None] when a stamp is off the grid.  The table is the plan's own
+   buffer, refilled per run: a plan is confined to the domain whose memo
+   holds it, and a run reads the table only while it executes. *)
+let tick_assignment net (derived : Derive.t) plan ~frames traces =
+  let size = Graph.n_jobs derived.Derive.graph * frames in
+  let used = ref false in
+  let place i stamp =
+    if not !used then begin
+      used := true;
+      if Array.length plan.stamp_buf <> size then
+        plan.stamp_buf <- Array.make size min_int
+      else Array.fill plan.stamp_buf 0 size min_int
+    end;
+    plan.stamp_buf.(i) <- Timebase.ticks plan.tb stamp
+  in
+  match assign_windows net derived ~frames traces ~place with
+  | unhandled -> Some ((if !used then plan.stamp_buf else [||]), unhandled)
+  | exception (Timebase.Inexact | Rat.Overflow) -> None
 
 (* Pooled network state, one per domain: building instances, channel
    states, route tables and prepared job contexts costs microseconds,
@@ -646,8 +691,17 @@ let pooled_scratch derived sched plan ~n_procs ~cap0 =
   Bytes.fill sc.sc_p_skip 0 (Bytes.length sc.sc_p_skip) '\000';
   sc
 
-let exec_ticks net (derived : Derive.t) sched config ~assigned:_
-    ~unhandled_events plan =
+(* The first [len] entries of a record column, copied in chunks of at
+   most 256 words, so every chunk is allocated in the minor heap: a
+   result dropped soon after its run, the common case when only stats
+   or signatures are read, then dies young and never leaves large
+   blocks for the major collector.  Forcing the trace joins them. *)
+let chunked sub a len =
+  List.init ((len + 255) / 256) (fun c ->
+      sub a (c * 256) (min 256 (len - (c * 256))))
+
+let exec_ticks net (derived : Derive.t) sched config ~unhandled_events plan
+    ~stamp_arr =
   let g = derived.Derive.graph in
   let n = Graph.n_jobs g in
   let frames = config.frames in
@@ -655,19 +709,8 @@ let exec_ticks net (derived : Derive.t) sched config ~assigned:_
   let state = pooled_state net in
   Netstate.set_inputs state config.inputs;
   Netstate.set_access_counting state (plan.per_access_t > 0);
-  (* sporadic stamps in a flat (frame, job) table; absent = [min_int].
-     Runs without real events skip the table entirely. *)
-  let have_stamps = Hashtbl.length plan.stamp_t > 0 in
-  let stamp_arr =
-    if not have_stamps then [||]
-    else begin
-      let a = Array.make (n * frames) min_int in
-      Hashtbl.iter
-        (fun (j, f) s -> if f < frames then a.((f * n) + j) <- s)
-        plan.stamp_t;
-      a
-    end
-  in
+  (* runs without real events skip the stamp table entirely *)
+  let have_stamps = Array.length stamp_arr > 0 in
   (* Steady-state replay: with per-job deterministic durations, no
      sporadic stamps and zero per-access cost, the schedule of any
      steady frame whose window is self-contained is the template
@@ -1124,37 +1167,44 @@ let exec_ticks net (derived : Derive.t) sched config ~assigned:_
   end;
   (* the scratch arrays belong to the pool and are overwritten by the
      next run, so the (lazily built) trace captures exact-length copies
-     now — a few dozen entries when replay kept the records implicit *)
+     now, in minor-heap-sized chunks (see [chunked]) *)
   let c_n = !s_n in
-  let c_job = Array.sub !s_job 0 c_n
-  and c_frame = Array.sub !s_frame 0 c_n
-  and c_invoked = Array.sub !s_invoked 0 c_n
-  and c_start = Array.sub !s_start 0 c_n
-  and c_finish = Array.sub !s_finish 0 c_n
-  and c_deadline = Array.sub !s_deadline 0 c_n
-  and c_skip = Bytes.sub !s_skip 0 c_n in
-  let cp_job = if !replayed then Array.copy p_job else [||]
-  and cp_invoked = if !replayed then Array.copy p_invoked else [||]
-  and cp_start = if !replayed then Array.copy p_start else [||]
-  and cp_finish = if !replayed then Array.copy p_finish else [||]
-  and cp_deadline = if !replayed then Array.copy p_deadline else [||]
-  and cp_skip = if !replayed then Bytes.copy p_skip else Bytes.empty in
+  let c_job = chunked Array.sub !s_job c_n
+  and c_frame = chunked Array.sub !s_frame c_n
+  and c_invoked = chunked Array.sub !s_invoked c_n
+  and c_start = chunked Array.sub !s_start c_n
+  and c_finish = chunked Array.sub !s_finish c_n
+  and c_deadline = chunked Array.sub !s_deadline c_n
+  and c_skip = chunked Bytes.sub !s_skip c_n in
+  let t_n = if !replayed then n else 0 in
+  let cp_job = chunked Array.sub p_job t_n
+  and cp_invoked = chunked Array.sub p_invoked t_n
+  and cp_start = chunked Array.sub p_start t_n
+  and cp_finish = chunked Array.sub p_finish t_n
+  and cp_deadline = chunked Array.sub p_deadline t_n
+  and cp_skip = chunked Bytes.sub p_skip t_n in
   let trace =
     lazy
       begin
+        let cp_job = Array.concat cp_job
+        and cp_invoked = Array.concat cp_invoked
+        and cp_start = Array.concat cp_start
+        and cp_finish = Array.concat cp_finish
+        and cp_deadline = Array.concat cp_deadline
+        and cp_skip = Bytes.concat Bytes.empty cp_skip in
         (* completed records sit in completion order; sort a permutation
            by (start, proc, frame, job) — the reference trace order —
            and materialize rationals only here.  With replay, frames
            0-1 all precede frame 2 and each template frame is disjoint
            from the next, so sorted blocks concatenate sorted. *)
         let m = c_n in
-        let sj = c_job
-        and sfr = c_frame
-        and sin = c_invoked
-        and sst = c_start
-        and sfin = c_finish
-        and sdl = c_deadline
-        and ssk = c_skip in
+        let sj = Array.concat c_job
+        and sfr = Array.concat c_frame
+        and sin = Array.concat c_invoked
+        and sst = Array.concat c_start
+        and sfin = Array.concat c_finish
+        and sdl = Array.concat c_deadline
+        and ssk = Bytes.concat Bytes.empty c_skip in
         let cmp a b =
           let c = Int.compare sst.(a) sst.(b) in
           if c <> 0 then c
@@ -1252,13 +1302,13 @@ let exec_ticks net (derived : Derive.t) sched config ~assigned:_
    whenever all four ingredients are physically unchanged.  The memo is
    per-domain, so concurrent runs never share an entry. *)
 (* Structural-enough config equality for the memo: scalars compare by
-   value, closures and rational lists by identity (callers that rebuild
-   [default_config] per run share the library-level defaults, so the
-   common case still hits). *)
+   value, closures by identity (callers that rebuild [default_config]
+   per run share the library-level defaults, so the common case still
+   hits).  The sporadic traces play no part: the plan does not depend
+   on them. *)
 let same_config a b =
   a == b
   || (a.frames = b.frames && a.exec == b.exec && a.inputs == b.inputs
-     && a.sporadic == b.sporadic
      && (a.platform == b.platform
         || (a.platform.Platform.n_procs = b.platform.Platform.n_procs
            && a.platform.Platform.overhead == b.platform.Platform.overhead)))
@@ -1274,7 +1324,12 @@ type plan_memo = {
 let plan_memo_key : plan_memo option ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref None)
 
-let compiled_plan net derived sched config ~assigned =
+let compile ?stamps net derived sched config =
+  if Metrics.enabled () then Metrics.incr (Metrics.counter "engine.compiles");
+  Trace.with_span "engine.compile" (fun () ->
+      tick_compile ?stamps net derived sched config)
+
+let compiled_plan net derived sched config =
   let memo = Domain.DLS.get plan_memo_key in
   match !memo with
   | Some m
@@ -1282,10 +1337,7 @@ let compiled_plan net derived sched config ~assigned =
          && same_config m.pm_config config ->
     m.pm_plan
   | _ ->
-    let plan =
-      Trace.with_span "engine.compile" (fun () ->
-          tick_compile net derived sched config ~assigned)
-    in
+    let plan = compile net derived sched config in
     memo :=
       Some
         {
@@ -1297,22 +1349,51 @@ let compiled_plan net derived sched config ~assigned =
         };
     plan
 
+(* The memoized plan with the run's stamps on its grid.  A stamp off
+   that grid makes this run alone compile a one-off plan that includes
+   its stamps (counted by [engine.stamp_recompiles], never memoized). *)
+let plan_for_run net derived sched config =
+  let frames = config.frames and traces = config.sporadic in
+  match compiled_plan net derived sched config with
+  | None -> None
+  | Some plan -> (
+    match tick_assignment net derived plan ~frames traces with
+    | Some (stamp_arr, unhandled) -> Some (plan, stamp_arr, unhandled)
+    | None -> (
+      if Metrics.enabled () then
+        Metrics.incr (Metrics.counter "engine.stamp_recompiles");
+      let stamps = ref [] in
+      ignore
+        (assign_windows net derived ~frames traces ~place:(fun _ s ->
+             stamps := s :: !stamps));
+      match compile ~stamps:!stamps net derived sched config with
+      | None -> None
+      | Some plan ->
+        Option.map
+          (fun (stamp_arr, unhandled) -> (plan, stamp_arr, unhandled))
+          (tick_assignment net derived plan ~frames traces)))
+
+let run_rat net derived sched config =
+  let assigned, unhandled_events =
+    rat_assignment net derived ~frames:config.frames config.sporadic
+  in
+  Trace.with_span "engine.exec.rat" (fun () ->
+      exec_rat net derived sched config ~assigned ~unhandled_events)
+
 let run net derived sched config =
   Trace.with_span "engine.run" (fun () ->
-      let assigned, unhandled_events = prologue net derived sched config in
-      match compiled_plan net derived sched config ~assigned with
-      | Some plan ->
+      check_config net derived sched config;
+      match plan_for_run net derived sched config with
+      | Some (plan, stamp_arr, unhandled_events) ->
         Trace.with_span "engine.exec.ticks" (fun () ->
-            exec_ticks net derived sched config ~assigned ~unhandled_events plan)
-      | None ->
-        Trace.with_span "engine.exec.rat" (fun () ->
-            exec_rat net derived sched config ~assigned ~unhandled_events))
+            exec_ticks net derived sched config ~unhandled_events plan
+              ~stamp_arr)
+      | None -> run_rat net derived sched config)
 
 let run_reference net derived sched config =
   Trace.with_span "engine.run_reference" (fun () ->
-      let assigned, unhandled_events = prologue net derived sched config in
-      Trace.with_span "engine.exec.rat" (fun () ->
-          exec_rat net derived sched config ~assigned ~unhandled_events))
+      check_config net derived sched config;
+      run_rat net derived sched config)
 
 (* ------------------------------------------------------------------ *)
 (* Sharded core: the tick engine cut into K communicating shards.      *)
@@ -1638,7 +1719,7 @@ type shard_recs = {
 let shard_stall_limit = 1 lsl 28
 
 let exec_sharded net (derived : Derive.t) sched config ~unhandled_events plan
-    sp ~durs =
+    ~stamp_arr sp ~durs =
   let g = derived.Derive.graph in
   let n = Graph.n_jobs g in
   let frames = config.frames in
@@ -1648,17 +1729,7 @@ let exec_sharded net (derived : Derive.t) sched config ~unhandled_events plan
   let state = pooled_state net in
   Netstate.set_inputs state config.inputs;
   Netstate.set_access_counting state false;
-  let have_stamps = Hashtbl.length plan.stamp_t > 0 in
-  let stamp_arr =
-    if not have_stamps then [||]
-    else begin
-      let a = Array.make (n * frames) min_int in
-      Hashtbl.iter
-        (fun (j, f) s -> if f < frames then a.((f * n) + j) <- s)
-        plan.stamp_t;
-      a
-    end
-  in
+  let have_stamps = Array.length stamp_arr > 0 in
   Array.iter (fun a -> Atomic.set a 0) sp.sp_mb_timing;
   Array.iter (fun a -> Atomic.set a 0) sp.sp_mb_body;
   let orders = Array.init n_procs (Static_schedule.order_on sched) in
@@ -2047,15 +2118,15 @@ let run_sharded ?shards net derived sched config =
       let k = max 1 (min requested config.platform.Platform.n_procs) in
       if k <= 1 then run net derived sched config
       else begin
-        let assigned, unhandled_events = prologue net derived sched config in
+        check_config net derived sched config;
         let fallback () =
           if Metrics.enabled () then
             Metrics.incr (Metrics.counter "engine.shard_fallbacks");
           run net derived sched config
         in
-        match compiled_plan net derived sched config ~assigned with
+        match plan_for_run net derived sched config with
         | None -> fallback ()
-        | Some plan -> (
+        | Some (plan, stamp_arr, unhandled_events) -> (
           match plan.dur_t with
           | None -> fallback ()
           | Some durs ->
@@ -2069,7 +2140,7 @@ let run_sharded ?shards net derived sched config =
                 match
                   Trace.with_span "engine.exec.sharded" (fun () ->
                       exec_sharded net derived sched config ~unhandled_events
-                        plan sp ~durs)
+                        plan ~stamp_arr sp ~durs)
                 with
                 | Some result -> result
                 | None -> fallback ()

@@ -68,6 +68,13 @@ val run :
 (** Runs on the compiled integer-tick core whenever every model time
     fits a common {!Rt_util.Timebase} grid, falling back to the exact
     rational interpreter otherwise; both produce bit-identical results.
+    The compiled plan covers the static times only (hyperperiod,
+    overheads, durations, WCETs, arrivals, deadlines) and is memoized
+    per domain, so runs that differ only in their sporadic stamps share
+    it; the stamps are mapped onto its grid per run.  A stamp off that
+    grid makes that run alone compile a one-off plan including its
+    stamps, counted by the [engine.stamp_recompiles] metric; every
+    compile is counted by [engine.compiles].
     @raise Invalid_argument if the schedule does not cover the derived
     graph, if [frames <= 0], or if a sporadic trace violates its
     generator's [(m,T)] constraint. *)
@@ -132,7 +139,17 @@ val sporadic_assignment :
 (** The window mapping of Sec. IV / Fig. 2, exposed for the
     timed-automata backend and for tests: maps [(server job id, frame)]
     to the real event stamp that slot handles; the second component
-    lists the events left for the window after the simulated horizon. *)
+    lists the events left for the window after the simulated horizon,
+    or beyond the burst of their window, per server in stamp order.
+
+    Cost O(servers + stamps).  A server's windows of length [T'] tile
+    the time line, so each stamp [s] lies in exactly one window, number
+    [⌈s/T'⌉] (right-closed) or [⌊s/T'⌋+1] (left-closed) counted from 0
+    across frames; a valid trace ascends, so the stamps of one window
+    are consecutive and a running counter gives each its position in
+    the window.  Window [w] is slot [w mod S] of frame [w / S], [S]
+    slots per frame.  The [(m,T)] validity check is one pass too.
+    @raise Invalid_argument as {!run} on an invalid trace. *)
 
 val signature : result -> (string * Fppn.Value.t list) list
 (** Channel write sequences (internal + external outputs), sorted by

@@ -6,6 +6,7 @@ type t = {
   dag : Digraph.t;
   topo : int list;
   by_proc : (int, int list) Hashtbl.t; (* proc -> job ids ascending k *)
+  by_k : int array array; (* proc -> job id at index k, or -1 *)
 }
 
 let make jobs dag =
@@ -27,14 +28,24 @@ let make jobs dag =
       let prev = try Hashtbl.find by_proc j.Job.proc with Not_found -> [] in
       Hashtbl.replace by_proc j.Job.proc (j.Job.id :: prev))
     jobs;
+  let n_procs = Array.fold_left (fun m j -> max m (j.Job.proc + 1)) 0 jobs in
+  let by_k = Array.make n_procs [||] in
   Hashtbl.iter
     (fun p ids ->
       let sorted =
         List.sort (fun a b -> Int.compare jobs.(a).Job.k jobs.(b).Job.k) ids
       in
-      Hashtbl.replace by_proc p sorted)
+      Hashtbl.replace by_proc p sorted;
+      let max_k = List.fold_left (fun m i -> max m jobs.(i).Job.k) 0 sorted in
+      let ids_by_k = Array.make (max_k + 1) (-1) in
+      List.iter
+        (fun i ->
+          let k = jobs.(i).Job.k in
+          if k >= 0 && ids_by_k.(k) < 0 then ids_by_k.(k) <- i)
+        sorted;
+      if p >= 0 then by_k.(p) <- ids_by_k)
     (Hashtbl.copy by_proc);
-  { jobs; dag; topo; by_proc }
+  { jobs; dag; topo; by_proc; by_k }
 
 let n_jobs t = Array.length t.jobs
 let n_edges t = Digraph.n_edges t.dag
@@ -56,11 +67,10 @@ let sinks t =
 let jobs_of_process t p = try Hashtbl.find t.by_proc p with Not_found -> []
 
 let find_job t ~proc ~k =
-  match
-    List.find_opt (fun i -> t.jobs.(i).Job.k = k) (jobs_of_process t proc)
-  with
-  | Some i -> i
-  | None -> raise Not_found
+  if proc < 0 || proc >= Array.length t.by_k then raise Not_found;
+  let ids = t.by_k.(proc) in
+  if k >= 0 && k < Array.length ids && ids.(k) >= 0 then ids.(k)
+  else raise Not_found
 
 let total_wcet t =
   Array.fold_left (fun acc j -> Rat.add acc j.Job.wcet) Rat.zero t.jobs

@@ -30,7 +30,9 @@ val jobs_of_process : t -> int -> int list
 (** Job ids of one source process, ascending [k]. *)
 
 val find_job : t -> proc:int -> k:int -> int
-(** @raise Not_found *)
+(** The job [proc\[k\]], in O(1) (each process keeps its job ids in an
+    array indexed by [k]).
+    @raise Not_found *)
 
 val total_wcet : t -> Rt_util.Rat.t
 

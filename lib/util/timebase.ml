@@ -1,4 +1,4 @@
-type t = { den : int }
+type t = { den : int; int_cap : int (* [magnitude_cap / den] *) }
 
 exception Inexact
 
@@ -27,7 +27,7 @@ let create ?horizon times =
   match fold 1 times with
   | None -> None
   | Some den -> (
-    let t = { den } in
+    let t = { den; int_cap = magnitude_cap / den } in
     match horizon with
     | None -> Some t
     | Some h ->
@@ -42,10 +42,13 @@ let create ?horizon times =
 let den t = t.den
 
 let ticks t r =
-  let d = Rat.den r in
-  if t.den mod d <> 0 then raise Inexact
+  let d = Rat.den r and n = Rat.num r in
+  (* integers below [magnitude_cap / den], the common case, need
+     neither a division nor an overflow check *)
+  if d = 1 && Stdlib.abs n < t.int_cap then n * t.den
+  else if t.den mod d <> 0 then raise Inexact
   else
-    match checked_mul (Rat.num r) (t.den / d) with
+    match checked_mul n (t.den / d) with
     | Some n -> n
     | None -> raise Rat.Overflow
 

@@ -153,8 +153,10 @@ let test_engine_matches_zero_delay () =
 
 (* --- sporadic boundary rule (Fig. 2) ----------------------------------- *)
 
-(* Sporadic S configures periodic user U; U emits (k, cfg) pairs. *)
-let boundary_net ~sporadic_first =
+(* Sporadic S configures periodic user U; U emits (k, cfg) pairs.  The
+   scaled variant stretches every time by [scale] and gives S a burst. *)
+let boundary_net_scaled ~scale ~burst ~sporadic_first =
+  let ms n = Rat.mul scale (ms n) in
   let b = Network.Builder.create "boundary" in
   Network.Builder.add_process b
     (Process.make ~name:"U"
@@ -165,7 +167,7 @@ let boundary_net ~sporadic_first =
             ctx.Process.write "o" (V.Pair (V.Int ctx.Process.job_index, cfg)))));
   Network.Builder.add_process b
     (Process.make ~name:"S"
-       ~event:(Event.sporadic ~min_period:(ms 100) ~deadline:(ms 150) ())
+       ~event:(Event.sporadic ~burst ~min_period:(ms 100) ~deadline:(ms 150) ())
        (Process.Native
           (fun ctx -> ctx.Process.write "cfg" (V.Int (100 + ctx.Process.job_index)))));
   Network.Builder.add_channel b ~kind:Fppn.Channel.Blackboard ~writer:"S"
@@ -174,6 +176,9 @@ let boundary_net ~sporadic_first =
   else Network.Builder.add_priority b "U" "S";
   Network.Builder.add_output b ~owner:"U" "o";
   Network.Builder.finish_exn b
+
+let boundary_net ~sporadic_first =
+  boundary_net_scaled ~scale:Rat.one ~burst:1 ~sporadic_first
 
 let boundary_run ~sporadic_first =
   let net = boundary_net ~sporadic_first in
@@ -273,6 +278,342 @@ let test_unhandled_horizon_events () =
   Alcotest.(check (list (pair string rat))) "event reported unhandled"
     [ ("S", ms 250) ]
     rt.Engine.unhandled_events
+
+(* --- one-pass sporadic prologue ------------------------------------------ *)
+
+module Graph = Taskgraph.Graph
+module Job = Taskgraph.Job
+module Prng = Rt_util.Prng
+module Metrics = Fppn_obs.Metrics
+
+(* The former quadratic (m,T) check, kept as the oracle of the one-pass
+   [Event.is_valid_sporadic_trace]. *)
+let scan_is_valid (ev : Event.t) stamps =
+  let rec ascending = function
+    | [] | [ _ ] -> true
+    | a :: (b :: _ as rest) -> Rat.(a <= b) && ascending rest
+  in
+  let non_negative = List.for_all (fun s -> Rat.sign s >= 0) stamps in
+  let arr = Array.of_list stamps in
+  let n = Array.length arr in
+  let window_ok i =
+    let lo = Rat.sub arr.(i) ev.Event.period in
+    let count = ref 0 in
+    for j = 0 to i do
+      if Rat.(arr.(j) > lo) then incr count
+    done;
+    !count <= ev.Event.burst
+  in
+  let rec all_windows i = i >= n || (window_ok i && all_windows (i + 1)) in
+  ascending stamps && non_negative && all_windows 0
+
+(* The former O(frames · slots · stamps) window scan, kept as the oracle
+   of [Engine.sporadic_assignment]: every (frame, slot) window rescans
+   the whole trace. *)
+let scan_assignment net (derived : Derive.t) ~frames traces =
+  let g = derived.Derive.graph in
+  let hyperperiod = derived.Derive.hyperperiod in
+  let find_job ~proc ~k =
+    List.find (fun i -> (Graph.job g i).Job.k = k) (Graph.jobs_of_process g proc)
+  in
+  let assigned = Hashtbl.create 64 in
+  let unhandled = ref [] in
+  List.iter
+    (fun (s : Derive.server_info) ->
+      let p = s.Derive.sporadic in
+      let proc = Network.process net p in
+      let name = Process.name proc in
+      let stamps =
+        match List.assoc_opt name traces with Some l -> l | None -> []
+      in
+      if not (scan_is_valid (Process.event proc) stamps) then
+        invalid_arg "scan: trace violates (m,T)";
+      let ts = s.Derive.server_period in
+      let burst = Process.burst proc in
+      let slots_per_frame = Rat.to_int_exn (Rat.div hyperperiod ts) in
+      let in_window ~b stamp =
+        let lo = Rat.sub b ts in
+        if s.Derive.boundary_closed_right then Rat.(stamp > lo) && Rat.(stamp <= b)
+        else Rat.(stamp >= lo) && Rat.(stamp < b)
+      in
+      let consumed = Hashtbl.create 16 in
+      for frame = 0 to frames - 1 do
+        for slot = 1 to slots_per_frame do
+          let b =
+            Rat.add
+              (Rat.mul hyperperiod (Rat.of_int frame))
+              (Rat.mul ts (Rat.of_int (slot - 1)))
+          in
+          let idx = ref 0 in
+          List.iteri
+            (fun i stamp ->
+              if (not (Hashtbl.mem consumed i)) && in_window ~b stamp then begin
+                incr idx;
+                if !idx <= burst then begin
+                  Hashtbl.replace consumed i ();
+                  let k = ((slot - 1) * burst) + !idx in
+                  Hashtbl.replace assigned (find_job ~proc:p ~k, frame) stamp
+                end
+              end)
+            stamps
+        done
+      done;
+      List.iteri
+        (fun i stamp ->
+          if not (Hashtbl.mem consumed i) then
+            unhandled := (name, stamp) :: !unhandled)
+        stamps)
+    derived.Derive.servers;
+  (assigned, List.rev !unhandled)
+
+let sorted_table tbl =
+  List.sort compare
+    (Hashtbl.fold (fun key s acc -> (key, Rat.to_string s) :: acc) tbl [])
+
+let fms_derived =
+  lazy
+    (let net = Fppn_apps.Fms.reduced () in
+     (net, Derive.derive_exn ~wcet:Fppn_apps.Fms.wcet net))
+
+type prologue_case = {
+  pc_seed : int;
+  pc_net : int;  (* 0: reduced FMS; 1: boundary net in thirds of a ms *)
+  pc_frames : int;
+  pc_flip : bool;  (* swap every server's boundary rule *)
+  pc_burst : int;  (* Randgen max_burst *)
+  pc_eps : int;  (* edge offsets are ±1/pc_eps *)
+  pc_raw : bool;  (* skip the greedy filter: often an invalid trace *)
+  pc_mangle : int;  (* 1: swap two stamps; 2: add a negative one *)
+}
+
+let prologue_case_gen =
+  QCheck2.Gen.(
+    let* pc_seed = int_range 0 99999 in
+    let* pc_net = int_range 0 5 in
+    let* pc_frames = int_range 1 6 in
+    let* pc_flip = bool in
+    let* pc_burst = int_range 1 4 in
+    let* pc_eps = oneofl [ 7; 1000; 3000 ] in
+    let* pc_raw = map (fun i -> i = 0) (int_range 0 5) in
+    let+ pc_mangle = map (fun i -> max 0 (i - 7)) (int_range 0 9) in
+    { pc_seed; pc_net; pc_frames; pc_flip; pc_burst; pc_eps; pc_raw; pc_mangle })
+
+let prologue_case_print c =
+  Printf.sprintf
+    "{seed=%d; net=%d; frames=%d; flip=%b; burst=%d; eps=1/%d; raw=%b; mangle=%d}"
+    c.pc_seed c.pc_net c.pc_frames c.pc_flip c.pc_burst c.pc_eps c.pc_raw
+    c.pc_mangle
+
+(* Per server: window edges b = w·T' past the horizon, b ± ε, burst+1
+   duplicates of an edge and random stamps, a random subset of them,
+   sorted, then greedily made (m,T)-valid unless [pc_raw], and with
+   [pc_mangle] put out of order or given a negative stamp.  The
+   boundary net's windows end on non-integer edges. *)
+let prologue_inputs c =
+  let net, d =
+    if c.pc_net = 0 then Lazy.force fms_derived
+    else if c.pc_net = 1 then
+      let net =
+        boundary_net_scaled ~scale:(Rat.make 1 3) ~burst:c.pc_burst
+          ~sporadic_first:(c.pc_seed mod 2 = 0)
+      in
+      (net, Derive.derive_exn ~wcet:(Derive.const_wcet (Rat.make 1 10)) net)
+    else
+      let net =
+        Fppn_apps.Randgen.network
+          {
+            Fppn_apps.Randgen.default_params with
+            seed = c.pc_seed;
+            n_periodic = 1 + (c.pc_seed mod 4);
+            n_sporadic = 1 + (c.pc_seed / 4 mod 3);
+            max_burst = c.pc_burst;
+          }
+      in
+      (net, Derive.derive_exn ~wcet:(Derive.const_wcet (Rat.make 1 10)) net)
+  in
+  let d =
+    if not c.pc_flip then d
+    else
+      {
+        d with
+        Derive.servers =
+          List.map
+            (fun (s : Derive.server_info) ->
+              { s with Derive.boundary_closed_right = not s.Derive.boundary_closed_right })
+            d.Derive.servers;
+      }
+  in
+  let prng = Prng.create c.pc_seed in
+  let h = d.Derive.hyperperiod in
+  let horizon = Rat.mul h (Rat.of_int c.pc_frames) in
+  let eps = Rat.make 1 c.pc_eps in
+  let traces =
+    List.map
+      (fun (s : Derive.server_info) ->
+        let proc = Network.process net s.Derive.sporadic in
+        let ts = s.Derive.server_period in
+        let windows = (Rat.to_int_exn (Rat.div h ts) * c.pc_frames) + 2 in
+        let keep = if c.pc_net = 0 then 0.15 else 0.5 in
+        let cands = ref [] in
+        let add x = if Rat.sign x >= 0 && Prng.float prng 1.0 < keep then cands := x :: !cands in
+        for w = 0 to windows do
+          let b = Rat.mul ts (Rat.of_int w) in
+          List.iter add [ b; Rat.add b eps; Rat.sub b eps ];
+          if Prng.float prng 1.0 < 0.1 then
+            for _ = 0 to Process.burst proc do
+              cands := b :: !cands
+            done
+        done;
+        let span = Rat.floor (Rat.mul (Rat.add horizon ts) (Rat.of_int c.pc_eps)) in
+        for _ = 1 to windows do
+          add (Rat.make (Prng.int prng (max 1 span)) c.pc_eps)
+        done;
+        let stamps = List.sort Rat.compare !cands in
+        ( Process.name proc,
+          let stamps =
+            if c.pc_raw then stamps
+            else Fppn_fuzz.Adversary.greedy_valid (Process.event proc) stamps
+          in
+          match (c.pc_mangle, stamps) with
+          | 1, a :: b :: rest -> b :: a :: rest
+          | 2, _ -> stamps @ [ Rat.neg eps ]
+          | _ -> stamps ))
+      d.Derive.servers
+  in
+  (net, d, traces)
+
+let prop_assignment_matches_scan =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~name:"one-pass assignment = window scan" ~count:150
+       ~print:prologue_case_print prologue_case_gen (fun c ->
+         let net, d, traces = prologue_inputs c in
+         let frames = c.pc_frames in
+         let outcome f =
+           match f () with
+           | tbl, unhandled -> Ok (sorted_table tbl, unhandled)
+           | exception Invalid_argument _ -> Error ()
+         in
+         let fast = outcome (fun () -> Engine.sporadic_assignment net d ~frames traces) in
+         let scan = outcome (fun () -> scan_assignment net d ~frames traces) in
+         match (fast, scan) with
+         | Error (), Error () -> true
+         | Ok (t1, u1), Ok (t2, u2) ->
+           t1 = t2
+           && List.equal (fun (n1, s1) (n2, s2) -> n1 = n2 && Rat.equal s1 s2) u1 u2
+         | _ -> false))
+
+let prop_validity_matches_scan =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~name:"one-pass (m,T) check = quadratic check" ~count:500
+       QCheck2.Gen.(
+         let* burst = int_range 1 4 in
+         let* pnum = int_range 1 20 in
+         let* pden = int_range 1 3 in
+         let* sorted = bool in
+         let+ stamps =
+           list_size (int_range 0 12)
+             (map2 (fun num den -> Rat.make num den) (int_range (-5) 40) (int_range 1 3))
+         in
+         (burst, Rat.make pnum pden, if sorted then List.sort Rat.compare stamps else stamps))
+       (fun (burst, period, stamps) ->
+         let ev = Event.sporadic ~burst ~min_period:period ~deadline:period () in
+         Event.is_valid_sporadic_trace ev stamps = scan_is_valid ev stamps))
+
+(* The trace generators as they were before the one-pass check: the
+   outputs of the linear versions must not change for any seed. *)
+let old_random_sporadic_trace (ev : Event.t) prng ~horizon ~density =
+  let horizon_ms = Rat.floor horizon in
+  let p_event =
+    density *. float_of_int ev.Event.burst /. Rat.to_float ev.Event.period
+  in
+  let accepted = ref [] in
+  let window_count stamp =
+    let lo = Rat.sub stamp ev.Event.period in
+    List.length (List.filter (fun s -> Rat.(s > lo)) !accepted)
+  in
+  for ms = 0 to horizon_ms - 1 do
+    if Prng.float prng 1.0 < p_event then begin
+      let stamp = Rat.of_int ms in
+      if window_count stamp < ev.Event.burst then accepted := stamp :: !accepted
+    end
+  done;
+  List.rev !accepted
+
+let old_greedy_valid ev stamps =
+  List.fold_left
+    (fun acc t ->
+      let ext = acc @ [ t ] in
+      if scan_is_valid ev ext then ext else acc)
+    [] stamps
+
+let test_generators_unchanged () =
+  let events =
+    [
+      (1, ms 200); (2, ms 200); (2, ms 700); (5, ms 1000); (5, ms 1600); (3, Rat.make 70 3);
+    ]
+  in
+  List.iter
+    (fun (burst, period) ->
+      let ev = Event.sporadic ~burst ~min_period:period ~deadline:period () in
+      for seed = 1 to 4 do
+        List.iter
+          (fun density ->
+            let horizon = ms (2000 + (seed * 1000)) in
+            let fresh = Event.random_sporadic_trace ev (Prng.create seed) ~horizon ~density in
+            let old = old_random_sporadic_trace ev (Prng.create seed) ~horizon ~density in
+            Alcotest.(check (list rat)) "random_sporadic_trace unchanged" old fresh)
+          [ 0.3; 0.8; 1.0 ];
+        let prng = Prng.create (seed * 31) in
+        let cands =
+          List.init 40 (fun _ -> Rat.make (Prng.int_in prng (-20) 4000) (Prng.int_in prng 1 3))
+        in
+        List.iter
+          (fun stamps ->
+            Alcotest.(check (list rat)) "greedy_valid unchanged"
+              (old_greedy_valid ev stamps)
+              (Fppn_fuzz.Adversary.greedy_valid ev stamps))
+          [ cands; List.sort Rat.compare cands; List.sort Rat.compare (cands @ cands) ]
+      done)
+    events
+
+(* The plan no longer depends on the stamps: eight fresh configurations
+   compile once, an off-grid stamp costs that run alone a one-off
+   compile, and every signature stays the rational reference's. *)
+let test_compile_once () =
+  let net, d = Lazy.force fms_derived in
+  let sched = schedule_for ~n_procs:2 d in
+  let frames = 2 in
+  let base = Engine.default_config ~frames ~n_procs:2 () in
+  let horizon = Rat.mul d.Derive.hyperperiod (Rat.of_int frames) in
+  let counter name = Metrics.counter_value (Metrics.counter name) in
+  let same_as_reference config r =
+    eq_sig (Engine.signature r)
+      (Engine.signature (Engine.run_reference net d sched config))
+  in
+  let was = Metrics.enabled () in
+  Metrics.set_enabled true;
+  Metrics.reset ();
+  Fun.protect ~finally:(fun () -> Metrics.set_enabled was) (fun () ->
+      for i = 0 to 7 do
+        let traces =
+          Fppn_apps.Fms.random_config_traces ~seed:(100 + i) ~horizon ~density:0.5 net
+        in
+        let config = { base with Engine.sporadic = traces } in
+        Alcotest.(check bool) "signature = reference" true
+          (same_as_reference config (Engine.run net d sched config))
+      done;
+      Alcotest.(check int) "one compile for eight configurations" 1
+        (counter "engine.compiles");
+      Alcotest.(check int) "no stamp recompile on the grid" 0
+        (counter "engine.stamp_recompiles");
+      let off_grid = Rat.add (ms 1000) (Rat.make 1 3000) in
+      let config = { base with Engine.sporadic = [ ("AnemoConfig", [ off_grid ]) ] } in
+      Alcotest.(check bool) "off-grid signature = reference" true
+        (same_as_reference config (Engine.run net d sched config));
+      Alcotest.(check int) "off-grid stamp: one recompile" 1
+        (counter "engine.stamp_recompiles");
+      Alcotest.(check bool) "sharded K=2 off-grid signature = reference" true
+        (same_as_reference config (Engine.run_sharded ~shards:2 net d sched config)))
 
 (* --- overhead model ----------------------------------------------------- *)
 
@@ -389,6 +730,14 @@ let () =
             test_boundary_assignment_slots;
           Alcotest.test_case "unhandled horizon events" `Quick
             test_unhandled_horizon_events;
+        ] );
+      ( "sporadic-prologue",
+        [
+          prop_assignment_matches_scan;
+          prop_validity_matches_scan;
+          Alcotest.test_case "trace generators unchanged" `Quick
+            test_generators_unchanged;
+          Alcotest.test_case "compile once across stamps" `Quick test_compile_once;
         ] );
       ( "overhead",
         [
