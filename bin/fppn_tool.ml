@@ -131,8 +131,8 @@ let resolve_app name seed =
       default_sporadic_density = 0.5;
     }
   | "random-wide" ->
-    (* >16384-job, one-job-per-process stress shape for the sharded
-       engine's static certification path *)
+    (* >16384-job, one-job-per-process stress shape for static
+       certification *)
     let net = Fppn_apps.Randgen.build_exn (Fppn_apps.Randgen.wide_spec ()) in
     {
       net;
@@ -581,7 +581,7 @@ let schedule_cmd = Cmd.v (Cmd.info "schedule" ~doc:sched_doc) schedule_term
 let sched_cmd = Cmd.v (Cmd.info "sched" ~doc:(sched_doc ^ " (alias of schedule)")) schedule_term
 
 let simulate_term, simulate_doc =
-  let run app_name seed n_procs frames heuristic jitter overhead density shards
+  let run app_name seed n_procs frames heuristic jitter overhead density
       json_out csv_out per_process use_schedule latency svg_out trace_out =
     obs_begin trace_out;
     let app = resolve_app app_name seed in
@@ -628,16 +628,7 @@ let simulate_term, simulate_doc =
         inputs = app.inputs;
       }
     in
-    (* sharded and sequential runs are bit-identical, so everything
-       printed below is independent of the shard count — the shard-gate
-       byte-compares this command's output across --shards values *)
-    let r =
-      if shards = 1 then Engine.run app.net d s config
-      else
-        Engine.run_sharded
-          ?shards:(if shards >= 1 then Some shards else None)
-          app.net d s config
-    in
+    let r = Engine.run app.net d s config in
     Format.printf "%a@." Runtime.Exec_trace.pp_stats r.Engine.stats;
     if per_process then
       Format.printf "%a" Runtime.Exec_trace.pp_by_process
@@ -713,15 +704,6 @@ let simulate_term, simulate_doc =
       & info [ "density" ] ~docv:"D"
           ~doc:"Sporadic event density in [0,1] (default: per-application).")
   in
-  let shards =
-    Arg.(
-      value & opt int 1
-      & info [ "shards" ] ~docv:"K"
-          ~doc:
-            "Run the engine on K cooperating domains (bit-identical to K=1; \
-             falls back to the sequential core when sharding preconditions \
-             fail). 0 = auto (recommended domain count).")
-  in
   let json_out =
     Arg.(
       value & opt (some string) None
@@ -757,7 +739,7 @@ let simulate_term, simulate_doc =
   in
   ( Term.(
       const run $ app_arg $ seed_arg $ procs_arg $ frames_arg $ heuristic_arg
-      $ jitter $ overhead $ density $ shards $ json_out $ csv_out $ per_process
+      $ jitter $ overhead $ density $ json_out $ csv_out $ per_process
       $ use_schedule $ latency $ svg_out $ trace_out_arg),
     "Run the online static-order policy (Sec. IV)" )
 
@@ -1080,8 +1062,8 @@ let certify_cmd =
        ~doc:
          "Static shardability certification: per-channel job-ordering \
           verdicts proven at the (process, hyperperiod-phase) quotient \
-          level (codes FPPN060-062) — the certificate Engine.run_sharded \
-          consumes. Exits 1 on error-severity findings, 2 when the source \
+          level (codes FPPN060-062), without building the job-level \
+          closure. Exits 1 on error-severity findings, 2 when the source \
           never reached the analyzer, like lint.")
     term
 
@@ -1107,8 +1089,7 @@ let fuzz_cmd =
         exit 2
     in
     if certify then begin
-      (* certificate-vs-engine differential: accepts run sharded
-         bit-identically, rejects fall back or are unbuildable *)
+      (* certificate-vs-closure differential: no engine runs at all *)
       let summary =
         Fppn_fuzz.Static_diff.certify ~log:print_endline ~max_periodic
           ~max_sporadic ~seed ~budget ()
@@ -1117,7 +1098,7 @@ let fuzz_cmd =
       if not (Fppn_fuzz.Static_diff.certify_passed summary) then begin
         print_endline
           "self-test FAILED: the shardability certificate disagreed with the \
-           engine or the job-level closure";
+           job-level closure or accepted an unbuildable spec";
         exit 3
       end
     end
@@ -1285,11 +1266,10 @@ let fuzz_cmd =
       value & flag
       & info [ "certify" ]
           ~doc:
-            "Run the certificate-vs-engine differential: \
-             certificate-accepted workloads must run sharded \
-             bit-identically to the sequential core, rejected ones must \
-             fall back or be unbuildable, and the certificate must agree \
-             with the legacy job-level closure throughout.")
+            "Run the certificate-vs-closure differential: on every \
+             buildable workload the static certificate must agree with the \
+             job-level precedence closure, and it must never accept a \
+             workload the builder refuses.")
   in
   let term =
     Term.(
@@ -1309,7 +1289,7 @@ let fuzz_cmd =
     term
 
 let profile_cmd =
-  let run app_name seed n_procs frames heuristic jitter top trace_out shards =
+  let run app_name seed n_procs frames heuristic jitter top trace_out =
     Obs_trace.set_enabled true;
     Obs_metrics.set_enabled true;
     let app = resolve_app app_name seed in
@@ -1332,11 +1312,7 @@ let profile_cmd =
         inputs = app.inputs;
       }
     in
-    let r =
-      match shards with
-      | None -> Engine.run app.net d s config
-      | Some k -> Engine.run_sharded ~shards:k app.net d s config
-    in
+    let r = Engine.run app.net d s config in
     Format.printf "%a@." Runtime.Exec_trace.pp_stats r.Engine.stats;
     let hotspots = Obs_trace.hotspots () in
     let total_self =
@@ -1377,20 +1353,10 @@ let profile_cmd =
       value & opt int 15
       & info [ "top" ] ~docv:"N" ~doc:"Number of hotspot rows to print.")
   in
-  let shards =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "shards" ] ~docv:"K"
-          ~doc:
-            "Profile Engine.run_sharded on K shards instead of the \
-             sequential core; the metrics snapshot then shows \
-             engine.certify_ticks (and engine.shard_* counters).")
-  in
   let term =
     Term.(
       const run $ app_arg $ seed_arg $ procs_arg $ frames_arg $ heuristic_arg
-      $ jitter $ top $ trace_out_arg $ shards)
+      $ jitter $ top $ trace_out_arg)
   in
   Cmd.v
     (Cmd.info "profile"

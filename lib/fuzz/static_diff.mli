@@ -57,16 +57,13 @@ val pp : Format.formatter -> summary -> unit
 (** {1 Certificate differential}
 
     Closes the loop on static shardability certification
-    ({!Fppn_lint.Certificate}): a certificate-accept must run
-    [Engine.run_sharded] bit-identically to [Engine.run], a
-    certificate-reject must fall back (never engage the sharded path)
-    or be provably order-violating — unbuildable, since
-    [Randgen.build] refuses exactly the Def. 2.1 violations
-    {!Fppn_apps.Randgen.seed_race} plants.  Every buildable case also
-    cross-checks the certificate against the legacy job-level closure
-    ([Engine.closure_conflicts_ordered]), both directly and via
-    [Engine.closure_cross_check], which stays enabled for the whole
-    campaign. *)
+    ({!Fppn_lint.Certificate}) without running anything: on every
+    buildable case the certificate must agree with the job-level
+    closure {!Fppn_lint.Interference.job_closure_ordered}, and a
+    certificate-accept must never be a spec {!Fppn_apps.Randgen.build}
+    refuses — the builder refuses exactly the Def. 2.1 violations
+    {!Fppn_apps.Randgen.seed_race} plants, so such a spec is provably
+    order-violating. *)
 
 type certify_summary = {
   cc_cases : int;
@@ -74,9 +71,6 @@ type certify_summary = {
   cc_rejects : int;  (** certificate refuses (every other case is raced) *)
   cc_unbuildable_rejects : int;
       (** rejected specs the builder also refuses: provably order-violating *)
-  cc_engaged : int;  (** runs where the sharded path actually engaged *)
-  cc_fallbacks : int;  (** buildable runs that fell back to the core *)
-  cc_mismatches : int;  (** sharded-vs-sequential signature diffs — must be 0 *)
   cc_disagreements : int;
       (** certificate-vs-closure or certificate-vs-builder conflicts —
           must be 0 *)
@@ -91,12 +85,9 @@ val certify :
   budget:int ->
   unit ->
   certify_summary
-(** Runs [budget] cases on 2 processors / 2 shards / 2 frames with
-    metrics and {!Runtime.Engine.closure_cross_check} enabled
-    (restored afterwards). *)
+(** Runs [budget] drawn cases, every other one with a seeded race. *)
 
 val certify_passed : certify_summary -> bool
-(** No mismatches, no disagreements, at least one engaged accept and
-    at least one reject. *)
+(** No disagreements, at least one accept and at least one reject. *)
 
 val pp_certify : Format.formatter -> certify_summary -> unit

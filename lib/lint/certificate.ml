@@ -49,7 +49,7 @@ let diagnostics t =
            ~subject:(pair_subject c.I.cv_writer c.I.cv_reader)
            (spf
               "invocations %s#%d and %s#%d share channel %s but no precedence \
-               path orders them; the sharded engine must fall back"
+               path orders them, so only the static order fixes their accesses"
               off.I.off_proc_a off.I.off_k_a off.I.off_proc_b off.I.off_k_b
               c.I.cv_channel))
     | I.Sporadic_hazard reason ->
@@ -64,7 +64,7 @@ let diagnostics t =
       ~subject:("channel " ^ h.I.hs_channel)
       (spf
          "accessors %s and %s carry utilization %s of %s total, beyond the \
-          balanced-partition share; any balanced cut into >= 2 shards \
+          balanced-partition share; any balanced cut into >= 2 parts \
           separates them"
          h.I.hs_writer h.I.hs_reader
          (Rat.to_string h.I.hs_pair_utilization)

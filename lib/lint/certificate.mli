@@ -2,8 +2,8 @@
 
     A certificate packages the {!Interference} analysis of one network:
     the per-channel ordering verdicts, the partition-cut hotspots and
-    the overall [shardable] bit that [Engine.run_sharded] consumes
-    instead of the legacy O(J^2) job-bitset closure.  Certificates
+    the overall [shardable] bit, which agrees with the O(J^2) job-level
+    closure {!Interference.job_closure_ordered} without building it.  Certificates
     render as diagnostics (stable codes FPPN060/061/062), serialize to
     a pinned JSON schema, and can be re-checked against a network with
     {!validate}. *)

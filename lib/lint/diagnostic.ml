@@ -96,16 +96,17 @@ let all_codes =
     ( Unordered_channel_pair,
       Error,
       "channel-sharing process pair has job invocations no precedence path \
-       orders (witness-free pair named); the sharded engine cannot run this \
-       network deterministically" );
+       orders (witness-free pair named); only the static order, not the task \
+       graph, fixes their accesses" );
     ( Sporadic_shard_hazard,
       Warning,
-      "channel ordering cannot be certified statically (sporadic-stamp shard \
+      "channel ordering cannot be certified statically (sporadic-stamp \
        hazard: the hyperperiod fold is undefined or beyond budget)" );
     ( Partition_cut_hotspot,
       Info,
       "channel accessors jointly exceed the balanced-partition share, so any \
-       balanced cut into two or more shards must separate them" );
+       balanced cut of the processors into two or more parts must separate \
+       them" );
   ]
 
 let default_severity c =

@@ -1,6 +1,8 @@
 module Rat = Rt_util.Rat
 module Digraph = Rt_util.Digraph
 module Derive = Taskgraph.Derive
+module Graph = Taskgraph.Graph
+module Network = Fppn.Network
 
 type offending = {
   off_proc_a : string;
@@ -320,7 +322,7 @@ let analyse (m : Model.t) =
                 if w = r then None
                 else
                   let pair = Rat.add (util w) (util r) in
-                  (* pair > 1.1 * total / 2, Partition's balance cap *)
+                  (* pair > 1.1 * total / 2: an even split with a 10% balance cap *)
                   if
                     Rat.compare
                       (Rat.mul pair (Rat.of_int 20))
@@ -348,3 +350,42 @@ let analyse (m : Model.t) =
     channels;
     hotspots;
   }
+
+(* Per-job descendant bitsets built in one reverse-topological sweep;
+   O(J^2) bits, so a test oracle rather than an analysis. *)
+let job_closure_ordered (g : Graph.t) net =
+  let n = Graph.n_jobs g in
+  let pairs =
+    List.filter_map
+      (fun (c : Network.channel_decl) ->
+        let w = Network.find net c.Network.writer
+        and r = Network.find net c.Network.reader in
+        if w = r then None else Some (w, r))
+      (Network.channels net)
+  in
+  pairs = []
+  ||
+  let wds = (n + 62) / 63 in
+  let reach = Array.make (n * wds) 0 in
+  List.iter
+    (fun v ->
+      let base = v * wds in
+      reach.(base + (v / 63)) <- reach.(base + (v / 63)) lor (1 lsl (v mod 63));
+      List.iter
+        (fun s ->
+          let sb = s * wds in
+          for w = 0 to wds - 1 do
+            reach.(base + w) <- reach.(base + w) lor reach.(sb + w)
+          done)
+        (Graph.succs g v))
+    (List.rev (Graph.topo_order g));
+  let ordered a b =
+    reach.((a * wds) + (b / 63)) land (1 lsl (b mod 63)) <> 0
+    || reach.((b * wds) + (a / 63)) land (1 lsl (a mod 63)) <> 0
+  in
+  List.for_all
+    (fun (w, r) ->
+      List.for_all
+        (fun a -> List.for_all (ordered a) (Graph.jobs_of_process g r))
+        (Graph.jobs_of_process g w))
+    pairs

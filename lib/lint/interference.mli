@@ -1,10 +1,10 @@
-(** Quotient-level static interference analysis (shardability core).
+(** Quotient-level static interference analysis.
 
-    [Engine.run_sharded] is deterministic only when every pair of jobs
-    touching the same channel is ordered by a precedence path in the
-    derived task graph.  PR 8 proved this per plan with an O(J^2)
-    job-level transitive-closure bitset capped at 16384 jobs.  This
-    module decides the same property {e statically at the process
+    Two jobs touching the same channel run in one fixed order under
+    every precedence-respecting execution only when a precedence path
+    in the derived task graph orders them.  The job-level check
+    ({!job_closure_ordered}) is an O(J^2) transitive-closure bitset.
+    This module decides the same property {e statically at the process
     level}: the infinite job sequence folds over one hyperperiod into
     (process, phase) classes — at most [burst * H / T'] per process —
     and job-level reachability between two processes reduces to a
@@ -67,10 +67,10 @@ type hotspot = {
   hs_total_utilization : Rt_util.Rat.t;
 }
 (** A partition-cut hotspot: the accessor pair's combined utilization
-    exceeds the balanced-partition share [1.1 * total / 2] that
-    {!Runtime.Partition} enforces, so any balanced cut into [>= 2]
-    shards must place writer and reader on different shards and pay a
-    cross-shard mailbox for this channel. *)
+    exceeds the balanced-partition share [1.1 * total / 2] (an even
+    two-way split with a 10% balance cap), so any balanced cut of the
+    processors into [>= 2] parts must place writer and reader apart and
+    carry this channel across the cut. *)
 
 type t = {
   network : string;
@@ -91,5 +91,16 @@ val analyse : Model.t -> t
     writer equals its reader is trivially [Ordered]. *)
 
 val shardable : t -> bool
-(** [true] iff every channel verdict is [Ordered] — the precondition
-    under which the sharded engine is deterministic by construction. *)
+(** [true] iff every channel verdict is [Ordered]: precedence alone
+    fixes the order of every channel's accesses, so any executor that
+    respects the task graph replays them in one order. *)
+
+val job_closure_ordered : Taskgraph.Graph.t -> Fppn.Network.t -> bool
+(** The job-level reference for {!shardable}: [true] iff every pair of
+    jobs of two distinct processes sharing a channel is ordered by a
+    precedence path in the derived graph, decided with per-job
+    descendant bitsets.  O(J^2) bits and time, so it is not an
+    analysis: it is the ground truth the certificate is tested and
+    fuzzed against.  The two agree wherever the class sweep runs; the
+    certificate may abstain where the closure accepts, never the
+    reverse. *)

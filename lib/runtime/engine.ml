@@ -1395,758 +1395,6 @@ let run_reference net derived sched config =
       check_config net derived sched config;
       run_rat net derived sched config)
 
-(* ------------------------------------------------------------------ *)
-(* Sharded core: the tick engine cut into K communicating shards.      *)
-(*                                                                     *)
-(* When every duration is a fixed, strictly positive tick count and    *)
-(* channel accesses cost nothing, the timing recurrence               *)
-(*                                                                     *)
-(*   start(j,f) = max(invocation, overhead end, previous job's finish  *)
-(*                on j's processor, finish of every same-frame          *)
-(*                predecessor)                                         *)
-(*                                                                     *)
-(* is independent of the job bodies.  The run then splits into two     *)
-(* deterministic phases: phase 1 solves the recurrence shard-locally   *)
-(* on machine integers, exchanging finish ticks of shard-crossing      *)
-(* precedence edges through single-writer single-reader mailboxes;     *)
-(* phase 2 re-executes the bodies against the shared network state,    *)
-(* each shard walking its own records in (frame, start, processor,     *)
-(* job) order and waiting on the same mailboxes for cross-shard        *)
-(* predecessors' bodies.  Frame barriers separate the frames in both   *)
-(* phases, so a mailbox is one word per edge, reused every frame.      *)
-(*                                                                     *)
-(* Bit-identity with the sequential engine holds because every pair of *)
-(* jobs touching a common channel is ordered by a precedence path      *)
-(* (checked once per plan via the graph's transitive closure) and      *)
-(* durations are >= 1 tick, so the path separates the pair strictly in *)
-(* time: the sequential engine runs the two bodies in path order, and  *)
-(* so does every sharded interleaving — in-shard by the sorted walk,   *)
-(* cross-shard by the mailbox waits.  Frames interleave identically    *)
-(* because phase 1 verifies no job spills past its frame boundary.     *)
-(* Whenever any precondition fails — rational-only plan, sampled or    *)
-(* zero durations, per-access costs, unordered channel conflicts,      *)
-(* frame spill, a stalled (order-infeasible) schedule — the run falls  *)
-(* back to the sequential core, so [run_sharded] is total on exactly   *)
-(* [run]'s domain and always returns [run]'s answer.                   *)
-(* ------------------------------------------------------------------ *)
-
-(* Every pair of jobs of channel-conflicting processes must be ordered
-   by a precedence path, else two bodies touching one channel could
-   race (or replay in the wrong order) across shards.  Networks whose
-   channel accessors are directly priority-related always pass: the
-   derivation orders every such job pair by construction (Def. 2.1),
-   and transitive reduction preserves reachability.  Checked with a
-   per-job descendant bitset built in one reverse-topological sweep —
-   O(J^2) memory, so this is no longer how [run_sharded] gates itself
-   (the static certificate below is); it survives as the debug
-   cross-validation oracle and for tests. *)
-let closure_conflicts_ordered (g : Graph.t) net =
-  let n = Graph.n_jobs g in
-  let pairs =
-    List.filter_map
-      (fun (c : Network.channel_decl) ->
-        let w = Network.find net c.Network.writer
-        and r = Network.find net c.Network.reader in
-        if w = r then None else Some (w, r))
-      (Network.channels net)
-  in
-  pairs = []
-  || begin
-          let wds = (n + 62) / 63 in
-          let reach = Array.make (n * wds) 0 in
-          List.iter
-            (fun v ->
-              let base = v * wds in
-              reach.(base + (v / 63)) <-
-                reach.(base + (v / 63)) lor (1 lsl (v mod 63));
-              List.iter
-                (fun s ->
-                  let sb = s * wds in
-                  for w = 0 to wds - 1 do
-                    reach.(base + w) <- reach.(base + w) lor reach.(sb + w)
-                  done)
-                (Graph.succs g v))
-            (List.rev (Graph.topo_order g));
-          let ordered a b =
-            reach.((a * wds) + (b / 63)) land (1 lsl (b mod 63)) <> 0
-            || reach.((b * wds) + (a / 63)) land (1 lsl (a mod 63)) <> 0
-          in
-          List.for_all
-            (fun (w, r) ->
-              List.for_all
-                (fun a ->
-                  List.for_all
-                    (fun b -> ordered a b)
-                    (Graph.jobs_of_process g r))
-                (Graph.jobs_of_process g w))
-            pairs
-        end
-
-(* Shard-crossing routing, fixed per (plan, schedule, K): the flat
-   predecessor segments annotated with a mailbox id per crossing edge,
-   the per-job list of mailboxes to publish into, and the mailbox words
-   themselves.  A mailbox belongs to exactly one edge, so it has one
-   writing and one reading shard; [sp_mb_time] carries the producer's
-   finish tick and is published before the phase tag, so a reader that
-   observes tag [f+1] reads frame [f]'s value. *)
-type shard_plan = {
-  sp_plan : tick_plan;
-  sp_sched : Static_schedule.t;
-  sp_net : Network.t;
-  sp_k : int;
-  sp_part : Partition.t;
-  sp_pred_off : int array;
-  sp_pred_job : int array;
-  sp_pred_mb : int array;  (* aligned with [sp_pred_job]; -1 = in-shard *)
-  sp_out_off : int array;
-  sp_out_mb : int array;
-  sp_mb_time : int Atomic.t array;
-  sp_mb_timing : int Atomic.t array;  (* phase-1 tag: frame + 1 *)
-  sp_mb_body : int Atomic.t array;  (* phase-2 tag: frame + 1 *)
-}
-
-let build_shard_plan net (derived : Derive.t) sched plan ~k =
-  let g = derived.Derive.graph in
-  let n = Graph.n_jobs g in
-  let part = Partition.make ~shards:k derived sched in
-  let pred_off = Array.make (n + 1) 0 in
-  for j = 0 to n - 1 do
-    pred_off.(j + 1) <- pred_off.(j) + List.length (Graph.preds g j)
-  done;
-  let m_edges = pred_off.(n) in
-  let pred_job = Array.make (max 1 m_edges) 0 in
-  for j = 0 to n - 1 do
-    let i = ref pred_off.(j) in
-    List.iter
-      (fun q ->
-        pred_job.(!i) <- q;
-        incr i)
-      (Graph.preds g j)
-  done;
-  let shard_of_job j = part.Partition.shard_of_proc.(plan.proc_of.(j)) in
-  let pred_mb = Array.make (max 1 m_edges) (-1) in
-  let out_off = Array.make (n + 1) 0 in
-  let n_mb = ref 0 in
-  for j = 0 to n - 1 do
-    for i = pred_off.(j) to pred_off.(j + 1) - 1 do
-      let q = pred_job.(i) in
-      if shard_of_job q <> shard_of_job j then begin
-        pred_mb.(i) <- !n_mb;
-        incr n_mb;
-        out_off.(q + 1) <- out_off.(q + 1) + 1
-      end
-    done
-  done;
-  for q = 0 to n - 1 do
-    out_off.(q + 1) <- out_off.(q + 1) + out_off.(q)
-  done;
-  let out_mb = Array.make (max 1 !n_mb) 0 in
-  let cursor = Array.make (max 1 n) 0 in
-  for j = 0 to n - 1 do
-    for i = pred_off.(j) to pred_off.(j + 1) - 1 do
-      let mb = pred_mb.(i) in
-      if mb >= 0 then begin
-        let q = pred_job.(i) in
-        out_mb.(out_off.(q) + cursor.(q)) <- mb;
-        cursor.(q) <- cursor.(q) + 1
-      end
-    done
-  done;
-  let atoms () = Array.init (max 1 !n_mb) (fun _ -> Atomic.make 0) in
-  {
-    sp_plan = plan;
-    sp_sched = sched;
-    sp_net = net;
-    sp_k = k;
-    sp_part = part;
-    sp_pred_off = pred_off;
-    sp_pred_job = pred_job;
-    sp_pred_mb = pred_mb;
-    sp_out_off = out_off;
-    sp_out_mb = out_mb;
-    sp_mb_time = atoms ();
-    sp_mb_timing = atoms ();
-    sp_mb_body = atoms ();
-  }
-
-let shard_plan_key : shard_plan option ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref None)
-
-let pooled_shard_plan net derived sched plan ~k =
-  let pool = Domain.DLS.get shard_plan_key in
-  match !pool with
-  | Some sp
-    when sp.sp_plan == plan && sp.sp_sched == sched && sp.sp_net == net
-         && sp.sp_k = k ->
-    sp
-  | _ ->
-    let sp =
-      Trace.with_span "engine.shard_plan" (fun () ->
-          build_shard_plan net derived sched plan ~k)
-    in
-    pool := Some sp;
-    sp
-
-(* Shardability is decided by the static certificate (Fppn_lint):
-   per-channel path-ordering proven on (process, hyperperiod-phase)
-   classes, independent of the job count — this is what lifted the old
-   16384-job closure cap.  The verdict depends only on the network, so
-   it is DLS-memoized on physical equality like the plans above.  With
-   [closure_cross_check] on, every decision is re-derived with the
-   legacy job-bitset closure and a certificate that accepts what the
-   closure rejects is a hard error (the reverse is a permitted
-   conservative abstention, e.g. past the class-sweep budget). *)
-let closure_cross_check = ref false
-
-let certificate_key : (Network.t * bool) option ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref None)
-
-let certified_shardable net (derived : Derive.t) =
-  let pool = Domain.DLS.get certificate_key in
-  let ok =
-    match !pool with
-    | Some (n, ok) when n == net -> ok
-    | _ ->
-      let t0 = Trace.now_ns () in
-      let ok =
-        Trace.with_span "engine.certify" (fun () ->
-            Fppn_lint.Certificate.shardable
-              (Fppn_lint.Certificate.of_network net))
-      in
-      if Metrics.enabled () then
-        Metrics.add
-          (Metrics.counter "engine.certify_ticks")
-          (Trace.now_ns () - t0);
-      pool := Some (net, ok);
-      ok
-  in
-  if !closure_cross_check then begin
-    let t0 = Trace.now_ns () in
-    let legacy = closure_conflicts_ordered derived.Derive.graph net in
-    if Metrics.enabled () then
-      Metrics.add
-        (Metrics.counter "engine.closure_check_ticks")
-        (Trace.now_ns () - t0);
-    if ok && not legacy then
-      invalid_arg
-        (Printf.sprintf
-           "Engine: certificate accepts network %s but the job-closure check \
-            finds an unordered channel pair"
-           (Network.name net))
-  end;
-  ok
-
-(* Sense-reversing frame barrier with a bounded spin followed by
-   mutex/condvar parking.  A pure spin is fine when every shard owns a
-   core, but oversubscribed hosts (more shards than cores — exactly the
-   situation Pool.recommended_domains cannot rule out when the caller
-   forces a shard count) would burn whole scheduler quanta busy-waiting
-   while the shard that everyone waits for is descheduled.  Waiters
-   therefore spin [barrier_spin_budget] iterations of Domain.cpu_relax
-   (cheap when the barrier turns over quickly) and then park on the
-   barrier's condvar; the last arriver flips the sense under the lock
-   and broadcasts, so there is no lost-wakeup window.
-
-   [bail] lets waiters leave when another shard aborted.  Spinners poll
-   it; parked waiters re-check it on every wakeup, so abort setters
-   must call [barrier_wake] after raising their flag (the abort paths
-   in [exec_sharded] funnel through [abort_wake]). *)
-type shard_barrier = {
-  parties : int;
-  arrived : int Atomic.t;
-  sense : int Atomic.t;
-  lock : Mutex.t;
-  cond : Condition.t;
-}
-
-let make_barrier parties =
-  {
-    parties;
-    arrived = Atomic.make 0;
-    sense = Atomic.make 0;
-    lock = Mutex.create ();
-    cond = Condition.create ();
-  }
-
-let barrier_spin_budget = 4096
-
-let barrier_wake b =
-  Mutex.lock b.lock;
-  Condition.broadcast b.cond;
-  Mutex.unlock b.lock
-
-let barrier_await b ~bail =
-  let s = Atomic.get b.sense in
-  if Atomic.fetch_and_add b.arrived 1 = b.parties - 1 then begin
-    Atomic.set b.arrived 0;
-    Mutex.lock b.lock;
-    Atomic.set b.sense (s + 1);
-    Condition.broadcast b.cond;
-    Mutex.unlock b.lock
-  end
-  else begin
-    let spins = ref 0 in
-    while
-      Atomic.get b.sense = s && not (bail ()) && !spins < barrier_spin_budget
-    do
-      incr spins;
-      Domain.cpu_relax ()
-    done;
-    if Atomic.get b.sense = s && not (bail ()) then begin
-      Mutex.lock b.lock;
-      while Atomic.get b.sense = s && not (bail ()) do
-        Condition.wait b.cond b.lock
-      done;
-      Mutex.unlock b.lock
-    end
-  end
-
-type shard_recs = {
-  sr_job : int array;
-  sr_frame : int array;
-  sr_invoked : int array;
-  sr_start : int array;
-  sr_finish : int array;
-  sr_deadline : int array;
-  sr_skip : Bytes.t;
-  mutable sr_n : int;
-  mutable sr_msgs : int;
-}
-
-(* spins with no global progress before declaring the run stalled; only
-   order-infeasible schedules (whose sequential run silently strands
-   the stuck processors) ever trip it, and they merely fall back *)
-let shard_stall_limit = 1 lsl 28
-
-let exec_sharded net (derived : Derive.t) sched config ~unhandled_events plan
-    ~stamp_arr sp ~durs =
-  let g = derived.Derive.graph in
-  let n = Graph.n_jobs g in
-  let frames = config.frames in
-  let k = sp.sp_k in
-  let part = sp.sp_part in
-  let n_procs = config.platform.Platform.n_procs in
-  let state = pooled_state net in
-  Netstate.set_inputs state config.inputs;
-  Netstate.set_access_counting state false;
-  let have_stamps = Array.length stamp_arr > 0 in
-  Array.iter (fun a -> Atomic.set a 0) sp.sp_mb_timing;
-  Array.iter (fun a -> Atomic.set a 0) sp.sp_mb_body;
-  let orders = Array.init n_procs (Static_schedule.order_on sched) in
-  let error : exn option Atomic.t = Atomic.make None in
-  let stalled = Atomic.make false in
-  let spilled = Atomic.make false in
-  let bail () =
-    Atomic.get stalled || Atomic.get spilled || Atomic.get error <> None
-  in
-  (* bumped on every completion in either phase; a spinner that sees it
-     move knows the system is alive and resets its stall count *)
-  let epoch = Atomic.make 0 in
-  let b_timing = make_barrier k and b_body = make_barrier k in
-  (* every abort-flag raise must wake parked barrier waiters, or they
-     would sleep on a condvar nobody signals again *)
-  let abort_wake () =
-    barrier_wake b_timing;
-    barrier_wake b_body
-  in
-  let set_stalled () =
-    Atomic.set stalled true;
-    abort_wake ()
-  in
-  let recs =
-    Array.init k (fun s ->
-        let cap =
-          Array.fold_left
-            (fun acc p -> acc + (frames * Array.length orders.(p)))
-            0
-            part.Partition.procs_of_shard.(s)
-        in
-        let cap = max 1 cap in
-        {
-          sr_job = Array.make cap 0;
-          sr_frame = Array.make cap 0;
-          sr_invoked = Array.make cap 0;
-          sr_start = Array.make cap 0;
-          sr_finish = Array.make cap 0;
-          sr_deadline = Array.make cap 0;
-          sr_skip = Bytes.make cap '\000';
-          sr_n = 0;
-          sr_msgs = 0;
-        })
-  in
-  let pred_off = sp.sp_pred_off
-  and pred_job = sp.sp_pred_job
-  and pred_mb = sp.sp_pred_mb
-  and out_off = sp.sp_out_off
-  and out_mb = sp.sp_out_mb
-  and mb_time = sp.sp_mb_time
-  and mb_timing = sp.sp_mb_timing
-  and mb_body = sp.sp_mb_body in
-  let run_shard s =
-    let procs = part.Partition.procs_of_shard.(s) in
-    let np = Array.length procs in
-    let r = recs.(s) in
-    let pos = Array.make (max 1 np) 0 in
-    let prevf = Array.make (max 1 np) 0 in
-    let donef = Array.make (max 1 np) false in
-    let completions = Array.make (max 1 n) 0 in
-    let fin = Array.make (max 1 n) 0 in
-    (* phase 1: shard-local timing recurrence, frame by frame *)
-    for f = 0 to frames - 1 do
-      if not (bail ()) then begin
-        let base = f * plan.h_t in
-        let frame_end = base + plan.h_t in
-        let oh_end = base + if f = 0 then plan.first_t else plan.steady_t in
-        let remaining = ref 0 in
-        for i = 0 to np - 1 do
-          if Array.length orders.(procs.(i)) = 0 then donef.(i) <- true
-          else begin
-            donef.(i) <- false;
-            incr remaining
-          end
-        done;
-        let guard = ref 0 in
-        let last_epoch = ref (Atomic.get epoch) in
-        while !remaining > 0 && not (bail ()) do
-          let progress = ref false in
-          for i = 0 to np - 1 do
-            if not donef.(i) then begin
-              let order = orders.(procs.(i)) in
-              let len = Array.length order in
-              let advancing = ref true in
-              while !advancing do
-                let job = order.(pos.(i)) in
-                let invocation = base + plan.arr_t.(job) in
-                let t = ref (if invocation > oh_end then invocation else oh_end) in
-                if prevf.(i) > !t then t := prevf.(i);
-                let blocked = ref false in
-                let ei = ref pred_off.(job) in
-                let hi = pred_off.(job + 1) in
-                while (not !blocked) && !ei < hi do
-                  let q = pred_job.(!ei) in
-                  let mb = pred_mb.(!ei) in
-                  (if mb < 0 then begin
-                     if completions.(q) <= f then blocked := true
-                     else if fin.(q) > !t then t := fin.(q)
-                   end
-                   else if Atomic.get mb_timing.(mb) <= f then blocked := true
-                   else begin
-                     let v = Atomic.get mb_time.(mb) in
-                     if v > !t then t := v
-                   end);
-                  incr ei
-                done;
-                if !blocked then advancing := false
-                else begin
-                  let stamp =
-                    if plan.is_server.(job) then
-                      if have_stamps then stamp_arr.((f * n) + job)
-                      else min_int
-                    else invocation
-                  in
-                  let ri = r.sr_n in
-                  let finish =
-                    if stamp = min_int then begin
-                      r.sr_invoked.(ri) <- invocation;
-                      r.sr_deadline.(ri) <- invocation + plan.dl_rel_t.(job);
-                      Bytes.set r.sr_skip ri '\001';
-                      !t
-                    end
-                    else begin
-                      r.sr_invoked.(ri) <- stamp;
-                      r.sr_deadline.(ri) <- stamp + plan.dl_rel_t.(job);
-                      !t + durs.(job)
-                    end
-                  in
-                  r.sr_job.(ri) <- job;
-                  r.sr_frame.(ri) <- f;
-                  r.sr_start.(ri) <- !t;
-                  r.sr_finish.(ri) <- finish;
-                  r.sr_n <- ri + 1;
-                  if finish > frame_end then begin
-                    Atomic.set spilled true;
-                    abort_wake ()
-                  end;
-                  completions.(job) <- completions.(job) + 1;
-                  fin.(job) <- finish;
-                  prevf.(i) <- finish;
-                  for o = out_off.(job) to out_off.(job + 1) - 1 do
-                    let mb = out_mb.(o) in
-                    Atomic.set mb_time.(mb) finish;
-                    Atomic.set mb_timing.(mb) (f + 1);
-                    r.sr_msgs <- r.sr_msgs + 1
-                  done;
-                  Atomic.incr epoch;
-                  progress := true;
-                  pos.(i) <- pos.(i) + 1;
-                  if pos.(i) >= len then begin
-                    pos.(i) <- 0;
-                    donef.(i) <- true;
-                    decr remaining;
-                    advancing := false
-                  end
-                end
-              done
-            end
-          done;
-          if !progress then guard := 0
-          else begin
-            let e = Atomic.get epoch in
-            if e <> !last_epoch then begin
-              last_epoch := e;
-              guard := 0
-            end
-            else begin
-              incr guard;
-              if !guard > shard_stall_limit then set_stalled ()
-            end;
-            Domain.cpu_relax ()
-          end
-        done
-      end;
-      barrier_await b_timing ~bail
-    done;
-    (* phase 2: bodies in (frame, start, processor, job) order.  The
-       final phase-1 barrier makes any abort flag globally visible
-       before anyone enters, so either all shards run this phase and
-       its barriers, or none do. *)
-    if not (bail ()) then begin
-      let m = r.sr_n in
-      let sj = r.sr_job and sfr = r.sr_frame and sst = r.sr_start in
-      let perm = Array.init m Fun.id in
-      Array.sort
-        (fun a b ->
-          let c = Int.compare sfr.(a) sfr.(b) in
-          if c <> 0 then c
-          else
-            let c = Int.compare sst.(a) sst.(b) in
-            if c <> 0 then c
-            else
-              let c =
-                Int.compare plan.proc_of.(sj.(a)) plan.proc_of.(sj.(b))
-              in
-              if c <> 0 then c else Int.compare sj.(a) sj.(b))
-        perm;
-      let last_tick = ref min_int and last_rat = ref Rat.zero in
-      let now_rat tick =
-        if tick = !last_tick then !last_rat
-        else begin
-          let rt = Timebase.of_ticks plan.tb tick in
-          last_tick := tick;
-          last_rat := rt;
-          rt
-        end
-      in
-      let idx = ref 0 in
-      for f = 0 to frames - 1 do
-        let advancing = ref true in
-        while !advancing && !idx < m && not (bail ()) do
-          let ri = perm.(!idx) in
-          if sfr.(ri) <> f then advancing := false
-          else begin
-            let job = sj.(ri) in
-            let guard = ref 0 in
-            let last_epoch = ref (Atomic.get epoch) in
-            let ei = ref pred_off.(job) in
-            let hi = pred_off.(job + 1) in
-            while !ei < hi && not (bail ()) do
-              let mb = pred_mb.(!ei) in
-              if mb >= 0 && Atomic.get mb_body.(mb) <= f then begin
-                let e = Atomic.get epoch in
-                if e <> !last_epoch then begin
-                  last_epoch := e;
-                  guard := 0
-                end
-                else begin
-                  incr guard;
-                  if !guard > shard_stall_limit then set_stalled ()
-                end;
-                Domain.cpu_relax ()
-              end
-              else incr ei
-            done;
-            if not (bail ()) then begin
-              if Bytes.get r.sr_skip ri = '\000' then
-                Netstate.run_job_fast state ~proc:plan.body_proc.(job)
-                  ~now:(now_rat r.sr_invoked.(ri));
-              for o = out_off.(job) to out_off.(job + 1) - 1 do
-                Atomic.set mb_body.(out_mb.(o)) (f + 1);
-                r.sr_msgs <- r.sr_msgs + 1
-              done;
-              Atomic.incr epoch;
-              incr idx
-            end
-          end
-        done;
-        barrier_await b_body ~bail
-      done
-    end
-  in
-  let guarded s () =
-    try run_shard s
-    with e ->
-      ignore (Atomic.compare_and_set error None (Some e));
-      abort_wake ()
-  in
-  let domains =
-    Array.init (k - 1) (fun i ->
-        let s = i + 1 in
-        Domain.spawn (fun () -> Rt_util.Pool.with_self_id s (guarded s)))
-  in
-  guarded 0 ();
-  Array.iter Domain.join domains;
-  if bail () then None
-  else begin
-    let total = Array.fold_left (fun acc r -> acc + r.sr_n) 0 recs in
-    let c_job = Array.make (max 1 total) 0
-    and c_frame = Array.make (max 1 total) 0
-    and c_invoked = Array.make (max 1 total) 0
-    and c_start = Array.make (max 1 total) 0
-    and c_finish = Array.make (max 1 total) 0
-    and c_deadline = Array.make (max 1 total) 0
-    and c_skip = Bytes.make (max 1 total) '\000' in
-    let off = ref 0 in
-    Array.iter
-      (fun r ->
-        Array.blit r.sr_job 0 c_job !off r.sr_n;
-        Array.blit r.sr_frame 0 c_frame !off r.sr_n;
-        Array.blit r.sr_invoked 0 c_invoked !off r.sr_n;
-        Array.blit r.sr_start 0 c_start !off r.sr_n;
-        Array.blit r.sr_finish 0 c_finish !off r.sr_n;
-        Array.blit r.sr_deadline 0 c_deadline !off r.sr_n;
-        Bytes.blit r.sr_skip 0 c_skip !off r.sr_n;
-        off := !off + r.sr_n)
-      recs;
-    let executed = ref 0
-    and skipped = ref 0
-    and misses = ref 0
-    and max_resp = ref 0
-    and max_frame = ref (-1) in
-    for i = 0 to total - 1 do
-      if Bytes.get c_skip i <> '\000' then incr skipped
-      else begin
-        incr executed;
-        if c_finish.(i) > c_deadline.(i) then incr misses;
-        let resp = c_finish.(i) - c_invoked.(i) in
-        if resp > !max_resp then max_resp := resp;
-        if c_frame.(i) > !max_frame then max_frame := c_frame.(i)
-      end
-    done;
-    if Metrics.enabled () then begin
-      Metrics.add (Metrics.counter "engine.jobs_executed") !executed;
-      Metrics.add (Metrics.counter "engine.jobs_skipped") !skipped;
-      Metrics.add (Metrics.counter "engine.deadline_misses") !misses;
-      Metrics.add (Metrics.counter "engine.frames") frames;
-      Metrics.incr (Metrics.counter "engine.sharded_runs");
-      Metrics.set_gauge (Metrics.gauge "engine.shards") (float_of_int k);
-      Metrics.add
-        (Metrics.counter "engine.xshard_messages")
-        (Array.fold_left (fun acc r -> acc + r.sr_msgs) 0 recs);
-      Metrics.set_gauge
-        (Metrics.gauge "engine.shard_cut_edges")
-        (float_of_int part.Partition.cut_edges)
-    end;
-    let trace =
-      lazy
-        begin
-          let cmp a b =
-            let c = Int.compare c_start.(a) c_start.(b) in
-            if c <> 0 then c
-            else
-              let c =
-                Int.compare plan.proc_of.(c_job.(a)) plan.proc_of.(c_job.(b))
-              in
-              if c <> 0 then c
-              else
-                let c = Int.compare c_frame.(a) c_frame.(b) in
-                if c <> 0 then c else Int.compare c_job.(a) c_job.(b)
-          in
-          let perm = Array.init total Fun.id in
-          Array.sort cmp perm;
-          let pick a = Array.init total (fun i -> a.(perm.(i))) in
-          let job = pick c_job
-          and frame = pick c_frame
-          and invoked = pick c_invoked
-          and start = pick c_start
-          and finish = pick c_finish
-          and deadline = pick c_deadline in
-          let skipped = Bytes.init total (fun i -> Bytes.get c_skip perm.(i)) in
-          let labels = Array.init n (fun j -> Job.label (Graph.job g j)) in
-          Exec_trace.of_ticks ~den:(Timebase.den plan.tb) ~labels
-            ~procs:plan.proc_of ~count:total ~job ~frame ~invoked ~start
-            ~finish ~deadline ~skipped ~tick_shift:0 ~frame_shift:0 []
-        end
-    in
-    let rat = Timebase.of_ticks plan.tb in
-    let h = derived.Derive.hyperperiod in
-    let frame_base frame = Rat.mul h (Rat.of_int frame) in
-    let overhead_end frame =
-      Rat.add (frame_base frame)
-        (Platform.frame_overhead config.platform ~frame)
-    in
-    let chan_snap = Netstate.channel_snapshot state in
-    let out_snap = Netstate.output_snapshot state in
-    let materialize snaps =
-      List.map (fun (c, s) -> (c, Fppn.Channel.snapshot_history s)) snaps
-    in
-    Some
-      {
-        trace;
-        channel_history = lazy (materialize chan_snap);
-        output_history = lazy (materialize out_snap);
-        stats =
-          {
-            Exec_trace.executed = !executed;
-            skipped = !skipped;
-            misses = !misses;
-            max_response = rat !max_resp;
-            frames = !max_frame + 1;
-          };
-        unhandled_events;
-        overhead_segments =
-          lazy (overhead_segments_of config ~frame_base ~overhead_end);
-      }
-  end
-
-let run_sharded ?shards net derived sched config =
-  Trace.with_span "engine.run_sharded" (fun () ->
-      let requested =
-        match shards with
-        | Some s when s >= 1 -> s
-        | _ -> Rt_util.Pool.recommended_domains ()
-      in
-      let k = max 1 (min requested config.platform.Platform.n_procs) in
-      if k <= 1 then run net derived sched config
-      else begin
-        check_config net derived sched config;
-        let fallback () =
-          if Metrics.enabled () then
-            Metrics.incr (Metrics.counter "engine.shard_fallbacks");
-          run net derived sched config
-        in
-        match plan_for_run net derived sched config with
-        | None -> fallback ()
-        | Some (plan, stamp_arr, unhandled_events) -> (
-          match plan.dur_t with
-          | None -> fallback ()
-          | Some durs ->
-            if
-              plan.per_access_t > 0
-              || not (Array.for_all (fun d -> d >= 1) durs)
-            then fallback ()
-            else if not (certified_shardable net derived) then fallback ()
-            else begin
-              let sp = pooled_shard_plan net derived sched plan ~k in
-                match
-                  Trace.with_span "engine.exec.sharded" (fun () ->
-                      exec_sharded net derived sched config ~unhandled_events
-                        plan ~stamp_arr sp ~durs)
-                with
-                | Some result -> result
-                | None -> fallback ()
-            end)
-      end)
-
 let signature r =
   List.sort
     (fun (a, _) (b, _) -> String.compare a b)

@@ -79,51 +79,6 @@ val run :
     graph, if [frames <= 0], or if a sporadic trace violates its
     generator's [(m,T)] constraint. *)
 
-val run_sharded :
-  ?shards:int ->
-  Fppn.Network.t -> Taskgraph.Derive.t -> Sched.Static_schedule.t -> config -> result
-(** {!run} on [shards] cooperating domains (default: the host's
-    {!Rt_util.Pool.recommended_domains}, clamped to the platform's
-    processor count).  The scheduled processors are cut into shards by
-    {!Partition.make}; each shard first solves the integer timing
-    recurrence for its own processors, exchanging the finish ticks of
-    shard-crossing precedence edges through single-writer mailboxes
-    drained at frame barriers (sense-reversing, with a bounded spin
-    before parking on a condvar, so oversubscribed hosts do not burn a
-    core per waiting shard), then re-executes the job bodies in
-    (frame, start, processor, job) order with the same cross-shard
-    waits.  The result — trace, channel and output histories, stats —
-    is bit-identical to {!run}'s.
-
-    Sharding engages only when the compiled plan has fixed, strictly
-    positive tick durations, no per-access cost, and the static
-    shardability certificate ({!Fppn_lint.Certificate}) proves every
-    pair of jobs sharing a channel ordered by a precedence path — a
-    process-level quotient argument, so there is no job-count cap;
-    certification is DLS-memoized per network and its (one-off) cost
-    is the [engine.certify_ticks] metric.  Otherwise (and on frame
-    spill, i.e. overload past a frame boundary, or an order-infeasible
-    schedule) the run transparently falls back to the sequential core,
-    counted by the [engine.shard_fallbacks] metric.  Raises as
-    {!run}. *)
-
-val closure_conflicts_ordered : Taskgraph.Graph.t -> Fppn.Network.t -> bool
-(** The legacy job-level check: every pair of jobs of
-    channel-conflicting processes is ordered by a precedence path,
-    decided with per-job descendant bitsets — O(J^2) bits, kept as the
-    ground-truth oracle for the certificate (tests, fuzzing,
-    {!closure_cross_check}).  No longer gates {!run_sharded}. *)
-
-val closure_cross_check : bool ref
-(** Debug mode (default [false]): when set, every {!run_sharded}
-    shardability decision is re-derived with
-    {!closure_conflicts_ordered} (timed into the
-    [engine.closure_check_ticks] metric), and a certificate that
-    accepts a network the job-closure rejects raises
-    [Invalid_argument].  The reverse — certificate abstains where the
-    closure would accept, e.g. beyond the class-sweep budget — is a
-    permitted conservative fallback. *)
-
 val run_reference :
   Fppn.Network.t -> Taskgraph.Derive.t -> Sched.Static_schedule.t -> config -> result
 (** {!run} forced onto the exact rational interpreter core — the

@@ -123,6 +123,23 @@ let test_chunking () =
                (Array.init 33 (fun i -> i))))
         [ 1; 2; 7; 33; 100 ])
 
+let test_steal_counter_monotone () =
+  let s0 = Pool.steals () in
+  Pool.with_pool ~jobs:4 (fun pool ->
+      for _ = 1 to 5 do
+        ignore
+          (Pool.parallel_map ~chunk:1 pool
+             (fun x ->
+               (* uneven work invites steals; the counter must only grow *)
+               let acc = ref x in
+               for _ = 1 to (x mod 7) * 400 do
+                 acc := (!acc * 31) land 0xffffff
+               done;
+               !acc)
+             (Array.init 200 Fun.id))
+      done);
+  Alcotest.(check bool) "steal counter monotone" true (Pool.steals () >= s0)
+
 let () =
   Alcotest.run "pool"
     [
@@ -139,5 +156,7 @@ let () =
           Alcotest.test_case "nested maps" `Quick test_nested_maps;
           Alcotest.test_case "reuse and shutdown" `Quick test_pool_reuse_and_shutdown;
           Alcotest.test_case "chunk sizes" `Quick test_chunking;
+          Alcotest.test_case "steal counter monotone" `Quick
+            test_steal_counter_monotone;
         ] );
     ]

@@ -611,9 +611,7 @@ let test_compile_once () =
       Alcotest.(check bool) "off-grid signature = reference" true
         (same_as_reference config (Engine.run net d sched config));
       Alcotest.(check int) "off-grid stamp: one recompile" 1
-        (counter "engine.stamp_recompiles");
-      Alcotest.(check bool) "sharded K=2 off-grid signature = reference" true
-        (same_as_reference config (Engine.run_sharded ~shards:2 net d sched config)))
+        (counter "engine.stamp_recompiles"))
 
 (* --- overhead model ----------------------------------------------------- *)
 

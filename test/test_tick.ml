@@ -21,6 +21,7 @@ module Derive = Taskgraph.Derive
 module List_scheduler = Sched.List_scheduler
 module Randgen = Fppn_apps.Randgen
 module Metrics = Fppn_obs.Metrics
+module Pool = Rt_util.Pool
 
 let qprop name ?(count = 100) ?print gen f =
   QCheck_alcotest.to_alcotest (QCheck2.Test.make ~name ~count ?print gen f)
@@ -318,6 +319,43 @@ let prop_timebase_roundtrip =
       | None -> true
       | Some tb -> Timebase.of_ticks tb (Timebase.ticks tb r) = r)
 
+(* --- pool order preservation under work stealing ---------------------- *)
+
+let pool_case_gen =
+  QCheck2.Gen.(
+    let* n = int_range 0 500 in
+    let* jobs = int_range 1 8 in
+    let+ chunk = int_range 1 7 in
+    (n, jobs, chunk))
+
+let pool_case_print (n, jobs, chunk) =
+  Printf.sprintf "{n=%d; jobs=%d; chunk=%d}" n jobs chunk
+
+(* work-stealing may run blocks on any worker in any order; results
+   must still land at their input index, for any grain — the pooled
+   reruns above are only bit-identical because of this *)
+let prop_pool_order =
+  qprop "parallel_map preserves input order under stealing" ~count:60
+    ~print:pool_case_print pool_case_gen
+    (fun (n, jobs, chunk) ->
+      let input = Array.init n (fun i -> (i * 7919) lxor 0x2a) in
+      let f x = (x * x) + (x lsr 3) in
+      let expected = Array.map f input in
+      Pool.with_pool ~jobs (fun pool ->
+          Pool.parallel_map ~chunk pool f input = expected
+          && Pool.map_list ~chunk pool f (Array.to_list input)
+             = Array.to_list expected))
+
+let prop_pool_for =
+  qprop "parallel_for writes every index exactly once" ~count:40
+    ~print:pool_case_print pool_case_gen
+    (fun (n, jobs, chunk) ->
+      let hits = Array.make (max 1 n) 0 in
+      Pool.with_pool ~jobs (fun pool ->
+          Pool.parallel_for ~chunk pool n (fun i ->
+              hits.(i) <- hits.(i) + 1));
+      Array.for_all (fun h -> h = 1) (Array.sub hits 0 n) || n = 0)
+
 let () =
   Alcotest.run "tick_engine"
     [
@@ -338,4 +376,5 @@ let () =
           Alcotest.test_case "overflow" `Quick test_timebase_overflow;
           prop_timebase_roundtrip;
         ] );
+      ("pool", [ prop_pool_order; prop_pool_for ]);
     ]
