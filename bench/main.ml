@@ -1425,8 +1425,8 @@ let run_perf ~pool ~smoke ?gate ~jobs_requested path =
      through the compiled tick core — constant durations and no
      sporadic stamps, so the steady-frame replay path is exercised.
      Each sample pins the iteration count and times the whole batch
-     after one unmeasured warmup run (which compiles the plan and
-     populates the engine pools): single 20µs runs measured one clock
+     after one unmeasured warmup run (which prepares the memoized
+     engine handle and sizes the workspace): single 20µs runs measured one clock
      pair at a time produced 5x run-to-run spreads on this box. *)
   let fig1 = Fppn_apps.Fig1.network () in
   let fig1_d = Derive.derive_exn ~wcet:Fppn_apps.Fig1.wcet fig1 in

@@ -76,47 +76,27 @@ let run_job t ~now ~read ~write =
     ignore (Automaton.run_job a env));
   t.count <- k
 
-(* Hot interpreters rebind one preallocated context per invocation
-   instead of rebuilding the closures and the context record above on
-   every job — [prepare] pays the construction once per (instance,
-   router) pair, [run_prepared] touches only mutable fields. *)
-type prepared =
-  | Pnative of Process.job_ctx * (Process.job_ctx -> unit)
-  | Pauto of Automaton.t * Automaton.env
+(* The shared-context job path: the caller owns one preallocated
+   context (and automaton environment) for all its instances, whose
+   [get]/[set] resolve through {!lookup}/{!assign} against whichever
+   instance is running, and rebinds it per invocation instead of
+   rebuilding closures and a context record per job. *)
+let lookup t x =
+  let i = local_scan t.l_names x 0 (Array.length t.l_names) in
+  if i < 0 then undeclared t.proc x else Array.unsafe_get t.l_vals i
 
-let prepare t ~read ~write =
-  let lookup x =
-    let i = local_scan t.l_names x 0 (Array.length t.l_names) in
-    if i < 0 then undeclared t.proc x else Array.unsafe_get t.l_vals i
-  in
-  let assign x v =
-    let i = local_scan t.l_names x 0 (Array.length t.l_names) in
-    if i < 0 then undeclared t.proc x else Array.unsafe_set t.l_vals i v
-  in
-  match t.proc.Process.behavior with
-  | Process.Native body ->
-    Pnative
-      ( {
-          Process.job_index = 0;
-          now = Rt_util.Rat.zero;
-          read;
-          write;
-          get = lookup;
-          set = assign;
-        },
-        body )
-  | Process.Automaton a ->
-    Pauto
-      (a, { Automaton.lookup; assign; read_channel = read; write_channel = write })
+let assign t x v =
+  let i = local_scan t.l_names x 0 (Array.length t.l_names) in
+  if i < 0 then undeclared t.proc x else Array.unsafe_set t.l_vals i v
 
-let run_prepared t p ~now =
+let run_with t ~ctx ~env ~now =
   let k = t.count + 1 in
-  (match p with
-  | Pnative (ctx, body) ->
+  (match t.proc.Process.behavior with
+  | Process.Native body ->
     ctx.Process.job_index <- k;
     ctx.Process.now <- now;
     body ctx
-  | Pauto (a, env) -> ignore (Automaton.run_job a env));
+  | Process.Automaton a -> ignore (Automaton.run_job a env));
   t.count <- k
 
 let skip_job t = t.count <- t.count + 1

@@ -26,25 +26,23 @@ val run_job :
     channel names (the caller adds trace recording and internal/external
     routing).  Increments the job counter. *)
 
-type prepared
-(** A behavior pre-bound to a channel router: the job context (or
-    automaton environment) is allocated once and rebound per
-    invocation. *)
+val lookup : t -> string -> Value.t
+(** Current value of a local variable, as a job body sees it.
+    @raise Invalid_argument if the process declares no such variable. *)
 
-val prepare :
-  t ->
-  read:(string -> Value.t) ->
-  write:(string -> Value.t -> unit) ->
-  prepared
-(** Builds the reusable execution context over [read]/[write].  The
-    closures are captured for the lifetime of the result, so they must
-    route against live state (e.g. read a mutable input-feed field
-    rather than capture a feed value). *)
+val assign : t -> string -> Value.t -> unit
+(** Sets a local variable, as a job body does.
+    @raise Invalid_argument if the process declares no such variable. *)
 
-val run_prepared : t -> prepared -> now:Rt_util.Rat.t -> unit
-(** Executes one job run through a {!prepare}d context without
-    allocating.  Equivalent to {!run_job} with the same router;
-    increments the job counter. *)
+val run_with :
+  t -> ctx:Process.job_ctx -> env:Automaton.env -> now:Rt_util.Rat.t -> unit
+(** Executes one job run through a caller-owned context without
+    allocating: a native body gets [ctx] with its index and time stamp
+    rebound, an automaton runs in [env].  The caller must route their
+    [get]/[set] ([lookup]/[assign]) to this instance ({!lookup},
+    {!assign}) and their channel operations to its router, so one
+    context can serve every instance of a network.  Equivalent to
+    {!run_job}; increments the job counter. *)
 
 val skip_job : t -> unit
 (** Advances the counter without running the behavior — used when the

@@ -15,38 +15,31 @@ let feed_of_list feeds =
       if k >= 1 && k <= Array.length samples then samples.(k - 1)
       else Value.Absent
 
-type route =
+type target =
   | Internal of Channel.t
   | Ext_input
   | Ext_output of Channel.t
 
-(* A process touches a handful of channels, so per-process parallel
-   name/route arrays resolved once at [create] beat hashing a
-   (proc, name) pair on every access: routing in [run_job] becomes a
-   short scan over strings that usually differ in the first character. *)
+(* One channel a process reads or writes.  [seen] is the call-site
+   cache of the fast path (see [route_index]). *)
+type route = { name : string; target : target; mutable seen : string }
+
+(* A process touches a handful of channels, so per-process route arrays
+   resolved once at [create] beat hashing a (proc, name) pair on every
+   access: routing in [run_job] becomes a short scan over strings that
+   usually differ in the first character. *)
 type t = {
   net : Network.t;
   instances : Instance.t array;
   chan_states : (string * Channel.t) list; (* internal, sorted by name *)
   out_states : (string * Channel.t) list; (* external outputs, sorted *)
-  read_names : string array array; (* per process *)
-  read_targets : route array array;
-  write_names : string array array;
-  write_targets : route array array;
-  (* the zero-allocation job path: one prepared context per process,
-     whose closures route against [cur_inputs] instead of taking a feed
-     and a recorder per call.  Two variants are prepared: one bumps
-     [access_count] per channel access (needed only when the platform
-     charges a per-access overhead), the other doesn't pay the store.
-     [fast] aliases whichever {!set_access_counting} selected. *)
-  mutable fast : Instance.prepared array;
-  mutable fast_count : Instance.prepared array;
-  mutable fast_plain : Instance.prepared array;
-  mutable cur_inputs : input_feed;
+  reads : route array array; (* per process *)
+  writes : route array array;
+  mutable cur : int;  (* the process a runner is running *)
   mutable access_count : int;
 }
 
-let make_state net =
+let create net =
   let instances =
     Array.map Instance.create (Network.processes net)
   in
@@ -87,167 +80,149 @@ let make_state net =
         writes.(owner) <-
           (io.Network.io_name, Ext_output state) :: writes.(owner))
     (Network.inputs net @ Network.outputs net);
-  let names table = Array.map (fun l -> Array.of_list (List.map fst l)) table in
-  let targets table =
-    Array.map (fun l -> Array.of_list (List.map snd l)) table
+  (* the [""] filler can never alias a caller's string, so a fresh
+     cache never matches *)
+  let routes table =
+    Array.map
+      (fun l ->
+        Array.of_list
+          (List.map (fun (name, target) -> { name; target; seen = "" }) l))
+      table
   in
   {
     net;
     instances;
     chan_states;
     out_states;
-    read_names = names reads;
-    read_targets = targets reads;
-    write_names = names writes;
-    write_targets = targets writes;
-    fast = [||];
-    fast_count = [||];
-    fast_plain = [||];
-    cur_inputs = no_inputs;
+    reads = routes reads;
+    writes = routes writes;
+    cur = 0;
     access_count = 0;
   }
 
-(* top-level tail recursion: the fast-path closures call this on every
-   channel access, so it must allocate nothing — no inner closure, no
-   option; [-1] = not found *)
-let rec route_scan names c i n =
+(* top-level tail recursion: the fast-path closures call these on
+   every channel access, so they must allocate nothing — no inner
+   closure, no option; [-1] = not found *)
+let rec route_scan routes c i n =
   if i >= n then -1
-  else if String.equal (Array.unsafe_get names i) c then i
-  else route_scan names c (i + 1) n
+  else if String.equal (Array.unsafe_get routes i).name c then i
+  else route_scan routes c (i + 1) n
 
-(* Call-site cache scan: process bodies name channels with string
-   literals, so the very same string *object* recurs at each call site.
-   A physical-equality probe over the few objects seen so far resolves
-   the route without touching the string bytes; [-1] = not cached. *)
-let rec cache_scan cache_names cache_idx c i n =
+(* Call-site cache: process bodies name channels with string literals,
+   so the very same string *object* recurs at each call site.  A route
+   remembers in [seen] the last object that named it; a
+   physical-equality probe over those resolves the route without
+   touching the string bytes, and only a miss compares strings (and
+   remembers the new object).  One slot per channel keeps the cache as
+   small as the route table; a name built afresh per access just always
+   misses. *)
+let rec seen_scan routes c i n =
   if i >= n then -1
-  else if Array.unsafe_get cache_names i == c then Array.unsafe_get cache_idx i
-  else cache_scan cache_names cache_idx c (i + 1) n
+  else if (Array.unsafe_get routes i).seen == c then i
+  else seen_scan routes c (i + 1) n
 
-let find_route names targets c =
-  let i = route_scan names c 0 (Array.length names) in
-  if i < 0 then None else Some targets.(i)
+let route_index routes c =
+  let n = Array.length routes in
+  let i = seen_scan routes c 0 n in
+  if i >= 0 then i
+  else begin
+    let i = route_scan routes c 0 n in
+    if i >= 0 then (Array.unsafe_get routes i).seen <- c;
+    i
+  end
 
-let create net =
-  let t = make_state net in
-  let n = Array.length t.instances in
-  let prepare_variant ~counting p =
-    let inst = t.instances.(p) in
-    let pname = Process.name (Instance.process inst) in
-    let unknown dir c =
-      invalid_arg
-        (Printf.sprintf "process %s: %s to unattached channel %S" pname dir c)
-    in
-    let rnames = t.read_names.(p) and rtargets = t.read_targets.(p) in
-    let wnames = t.write_names.(p) and wtargets = t.write_targets.(p) in
-    (* per-direction call-site caches (see [cache_scan]); capped so
-       dynamically-built names degrade to [route_scan], never grow.
-       Slot 0/1 probes are hand-inlined in the closures below: almost
-       every process touches at most two channels per direction, so the
-       common access resolves in one or two pointer compares without a
-       single out-of-line call.  The [""] filler can never alias a
-       caller's string, so unused slots never match. *)
-    let rc_names = Array.make 8 "" and rc_idx = Array.make 8 0 in
-    let rc_n = ref 0 in
-    let wc_names = Array.make 8 "" and wc_idx = Array.make 8 0 in
-    let wc_n = ref 0 in
-    let resolve names cn ci cnt c =
-      let i = cache_scan cn ci c 2 !cnt in
-      if i >= 0 then i
-      else begin
-        let i = route_scan names c 0 (Array.length names) in
-        (if i >= 0 && !cnt < Array.length cn then begin
-           Array.unsafe_set cn !cnt c;
-           Array.unsafe_set ci !cnt i;
-           incr cnt
-         end);
-        i
-      end
-    in
-    let do_read c i =
-      if i < 0 then unknown "read" c
-      else
-        match Array.unsafe_get rtargets i with
-        | Internal state -> Channel.read state
-        | Ext_input -> t.cur_inputs c (Instance.job_count inst + 1)
-        | Ext_output _ -> unknown "read" c
-    in
-    let do_write c v i =
-      if i < 0 then unknown "write" c
-      else
-        match Array.unsafe_get wtargets i with
-        | Internal state | Ext_output state -> Channel.write state v
-        | Ext_input -> unknown "write" c
-    in
-    let read =
-      if counting then fun c ->
-        t.access_count <- t.access_count + 1;
-        if Array.unsafe_get rc_names 0 == c then
-          do_read c (Array.unsafe_get rc_idx 0)
-        else if Array.unsafe_get rc_names 1 == c then
-          do_read c (Array.unsafe_get rc_idx 1)
-        else do_read c (resolve rnames rc_names rc_idx rc_n c)
-      else fun c ->
-        if Array.unsafe_get rc_names 0 == c then
-          match Array.unsafe_get rtargets (Array.unsafe_get rc_idx 0) with
-          | Internal state -> Channel.read state
-          | Ext_input -> t.cur_inputs c (Instance.job_count inst + 1)
-          | Ext_output _ -> unknown "read" c
-        else if Array.unsafe_get rc_names 1 == c then
-          match Array.unsafe_get rtargets (Array.unsafe_get rc_idx 1) with
-          | Internal state -> Channel.read state
-          | Ext_input -> t.cur_inputs c (Instance.job_count inst + 1)
-          | Ext_output _ -> unknown "read" c
-        else do_read c (resolve rnames rc_names rc_idx rc_n c)
-    in
-    let write =
-      if counting then fun c v ->
-        t.access_count <- t.access_count + 1;
-        if Array.unsafe_get wc_names 0 == c then
-          do_write c v (Array.unsafe_get wc_idx 0)
-        else if Array.unsafe_get wc_names 1 == c then
-          do_write c v (Array.unsafe_get wc_idx 1)
-        else do_write c v (resolve wnames wc_names wc_idx wc_n c)
-      else fun c v ->
-        if Array.unsafe_get wc_names 0 == c then
-          match Array.unsafe_get wtargets (Array.unsafe_get wc_idx 0) with
-          | Internal state | Ext_output state -> Channel.write state v
-          | Ext_input -> unknown "write" c
-        else if Array.unsafe_get wc_names 1 == c then
-          match Array.unsafe_get wtargets (Array.unsafe_get wc_idx 1) with
-          | Internal state | Ext_output state -> Channel.write state v
-          | Ext_input -> unknown "write" c
-        else do_write c v (resolve wnames wc_names wc_idx wc_n c)
-    in
-    Instance.prepare inst ~read ~write
+let find_route routes c =
+  let i = route_scan routes c 0 (Array.length routes) in
+  if i < 0 then None else Some routes.(i).target
+
+let unattached t dir c =
+  let pname = Process.name (Instance.process t.instances.(t.cur)) in
+  invalid_arg
+    (Printf.sprintf "process %s: %s to unattached channel %S" pname dir c)
+
+(* The zero-allocation job path of one run: one job context (and
+   automaton environment) serves every process, its closures routing
+   against the state's [cur] process and the run's [inputs] instead of
+   taking a process, a feed and a recorder per call.  Built per run, so
+   a state kept between runs holds no closures; the counting variant
+   bumps [access_count] per channel access (needed only when the
+   platform charges a per-access overhead), the plain one doesn't pay
+   the store. *)
+type runner = { state : t; ctx : Process.job_ctx; env : Automaton.env }
+
+(* [route_index] with its first two probes inlined: almost every process
+   touches at most two channels per direction, so the common access
+   resolves in one or two pointer compares without an out-of-line
+   call *)
+let[@inline] probe routes c =
+  let n = Array.length routes in
+  if n > 0 && (Array.unsafe_get routes 0).seen == c then 0
+  else if n > 1 && (Array.unsafe_get routes 1).seen == c then 1
+  else route_index routes c
+
+let runner ?(counting = false) ?(inputs = no_inputs) t =
+  let read c =
+    let p = t.cur in
+    let routes = Array.unsafe_get t.reads p in
+    let i = probe routes c in
+    if i < 0 then unattached t "read" c
+    else
+      match (Array.unsafe_get routes i).target with
+      | Internal state -> Channel.read state
+      | Ext_input ->
+        inputs c (Instance.job_count (Array.unsafe_get t.instances p) + 1)
+      | Ext_output _ -> unattached t "read" c
   in
-  t.fast_count <- Array.init n (prepare_variant ~counting:true);
-  t.fast_plain <- Array.init n (prepare_variant ~counting:false);
-  t.fast <- t.fast_plain;
-  t
-
-let set_inputs t inputs = t.cur_inputs <- inputs
-
-let set_access_counting t b =
-  t.fast <- (if b then t.fast_count else t.fast_plain)
+  let write c v =
+    let p = t.cur in
+    let routes = Array.unsafe_get t.writes p in
+    let i = probe routes c in
+    if i < 0 then unattached t "write" c
+    else
+      match (Array.unsafe_get routes i).target with
+      | Internal state | Ext_output state -> Channel.write state v
+      | Ext_input -> unattached t "write" c
+  in
+  let read, write =
+    if counting then
+      ( (fun c ->
+          t.access_count <- t.access_count + 1;
+          read c),
+        fun c v ->
+          t.access_count <- t.access_count + 1;
+          write c v )
+    else (read, write)
+  in
+  let get x = Instance.lookup (Array.unsafe_get t.instances t.cur) x in
+  let set x v = Instance.assign (Array.unsafe_get t.instances t.cur) x v in
+  {
+    state = t;
+    ctx =
+      { Process.job_index = 0; now = Rt_util.Rat.zero; read; write; get; set };
+    env =
+      { Automaton.lookup = get; assign = set; read_channel = read; write_channel = write };
+  }
 
 let access_count t = t.access_count
 
-let run_job_fast t ~proc ~now =
-  Instance.run_prepared t.instances.(proc) t.fast.(proc) ~now
+let run_job_fast r ~proc ~now =
+  r.state.cur <- proc;
+  Instance.run_with r.state.instances.(proc) ~ctx:r.ctx ~env:r.env ~now
 
 (* the replay inner loop of the tick engine: job [i] runs process
    [procs.(i)] at instant [nows.(now_base + now_idx.(i))].  Hosting the
-   loop here keeps the per-job work to two unchecked loads and one call
-   — the callers guarantee indices in range ([procs]/[now_idx] come
-   from the captured template, [now_base + now_idx] indexes [nows]). *)
-let run_jobs_fast t ~procs ~now_idx ~nows ~now_base ~count =
-  let instances = t.instances and fast = t.fast in
+   loop here keeps the per-job work to a few unchecked loads and one
+   call — the callers guarantee indices in range ([procs]/[now_idx]
+   come from the captured template, [now_base + now_idx] indexes
+   [nows]). *)
+let run_jobs_fast r ~procs ~now_idx ~nows ~now_base ~count =
+  let t = r.state and ctx = r.ctx and env = r.env in
   for i = 0 to count - 1 do
     let p = Array.unsafe_get procs i in
-    Instance.run_prepared
-      (Array.unsafe_get instances p)
-      (Array.unsafe_get fast p)
+    t.cur <- p;
+    Instance.run_with
+      (Array.unsafe_get t.instances p)
+      ~ctx ~env
       ~now:(Array.unsafe_get nows (now_base + Array.unsafe_get now_idx i))
   done
 
@@ -267,7 +242,7 @@ let run_job ?recorder ?(inputs = no_inputs) t ~proc ~now =
   in
   let read c =
     let v =
-      match find_route t.read_names.(proc) t.read_targets.(proc) c with
+      match find_route t.reads.(proc) c with
       | Some (Internal state) -> Channel.read state
       | Some Ext_input -> inputs c k
       | Some (Ext_output _) | None -> unknown "read" c
@@ -278,7 +253,7 @@ let run_job ?recorder ?(inputs = no_inputs) t ~proc ~now =
     v
   in
   let write c v =
-    (match find_route t.write_names.(proc) t.write_targets.(proc) c with
+    (match find_route t.writes.(proc) c with
     | Some (Internal state) | Some (Ext_output state) -> Channel.write state v
     | Some Ext_input | None -> unknown "write" c);
     match recorder with
@@ -305,7 +280,7 @@ let run_job_deferred ?(recorder = fun _ -> ()) ?(inputs = no_inputs) t ~proc ~no
   in
   let read c =
     let v =
-      match find_route t.read_names.(proc) t.read_targets.(proc) c with
+      match find_route t.reads.(proc) c with
       | Some (Internal state) -> Channel.read state
       | Some Ext_input -> inputs c k
       | Some (Ext_output _) | None -> unknown "read" c
@@ -315,7 +290,7 @@ let run_job_deferred ?(recorder = fun _ -> ()) ?(inputs = no_inputs) t ~proc ~no
   in
   let buffered = ref [] in
   let write c v =
-    (match find_route t.write_names.(proc) t.write_targets.(proc) c with
+    (match find_route t.writes.(proc) c with
     | Some (Internal state) | Some (Ext_output state) ->
       buffered := (state, c, v) :: !buffered
     | Some Ext_input | None -> unknown "write" c);
@@ -351,5 +326,4 @@ let reset t =
   Array.iter Instance.reset t.instances;
   List.iter (fun (_, st) -> Channel.reset st) t.chan_states;
   List.iter (fun (_, st) -> Channel.reset st) t.out_states;
-  t.cur_inputs <- no_inputs;
   t.access_count <- 0

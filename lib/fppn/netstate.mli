@@ -34,40 +34,43 @@ val run_job :
 val skip_job : t -> proc:int -> unit
 (** Consume an invocation without executing (a ['false'] job). *)
 
-val set_inputs : t -> input_feed -> unit
-(** Binds the external input feed consulted by {!run_job_fast}. *)
+type runner
+(** The zero-allocation job path of one run over a state: one job
+    context (and automaton environment) shared by every process, routing
+    through per-route call-site caches that survive in the state.  A
+    runner is a handful of closures built per run, so a state kept
+    between runs holds none. *)
 
-val run_job_fast : t -> proc:int -> now:Rt_util.Rat.t -> unit
-(** {!run_job} through a per-process context prepared once at
-    {!create}: no recorder, inputs from {!set_inputs}, and no per-call
-    allocation.  When access counting is enabled (see
-    {!set_access_counting}), every channel access (read or write,
-    internal or external) increments the counter reported by
-    {!access_count}; callers that price accesses read the counter
-    around the call. *)
+val runner : ?counting:bool -> ?inputs:input_feed -> t -> runner
+(** [runner ~counting ~inputs t] runs jobs of [t] against the external
+    input feed [inputs] (default {!no_inputs}).  With [counting] (off
+    by default: it pays a store per access, so callers enable it only
+    when the platform actually charges per access), every channel
+    access, read or write, internal or external, increments the counter
+    reported by {!access_count}. *)
+
+val run_job_fast : runner -> proc:int -> now:Rt_util.Rat.t -> unit
+(** {!run_job} through the runner's shared context: no recorder, inputs
+    from {!runner}, and no per-call allocation.  Callers that price
+    accesses read {!access_count} around the call. *)
 
 val run_jobs_fast :
-  t ->
+  runner ->
   procs:int array ->
   now_idx:int array ->
   nows:Rt_util.Rat.t array ->
   now_base:int ->
   count:int ->
   unit
-(** [run_jobs_fast t ~procs ~now_idx ~nows ~now_base ~count] runs
+(** [run_jobs_fast r ~procs ~now_idx ~nows ~now_base ~count] runs
     {!run_job_fast} for [i < count] with [proc = procs.(i)] and
     [now = nows.(now_base + now_idx.(i))] — the tick engine's replay
-    inner loop, hosted here so each job costs two loads and a call.
+    inner loop, hosted here so each job costs a few loads and a call.
     Indices are {e unchecked}: callers must keep them in range. *)
 
-val set_access_counting : t -> bool -> unit
-(** Selects whether {!run_job_fast} counts channel accesses.  Off by
-    default: the counting variant pays a store per access, so callers
-    enable it only when the platform actually charges per access. *)
-
 val access_count : t -> int
-(** Total channel accesses performed through {!run_job_fast} with
-    counting enabled, since {!create}/{!reset}. *)
+(** Total channel accesses performed through counting runners since
+    {!create}/{!reset}. *)
 
 val run_job_deferred :
   ?recorder:(Trace.action -> unit) ->

@@ -50,14 +50,17 @@ let channel_history r = Lazy.force r.channel_history
 let output_history r = Lazy.force r.output_history
 let overhead_segments r = Lazy.force r.overhead_segments
 
-(* Validation shared by both interpreter cores. *)
-let check_config net (derived : Derive.t) sched config =
+(* Validation shared by both interpreter cores: the static part once per
+   prepared handle, the sporadic traces once per run. *)
+let check_static (derived : Derive.t) sched config =
   let n = Graph.n_jobs derived.Derive.graph in
   if config.frames <= 0 then invalid_arg "Engine.run: frames must be positive";
   if Static_schedule.n_jobs sched <> n then
     invalid_arg "Engine.run: schedule does not cover the task graph";
   if Static_schedule.n_procs sched <> config.platform.Platform.n_procs then
-    invalid_arg "Engine.run: schedule and platform processor counts differ";
+    invalid_arg "Engine.run: schedule and platform processor counts differ"
+
+let check_sporadic net sporadic =
   List.iter
     (fun (name, _) ->
       let p =
@@ -68,7 +71,7 @@ let check_config net (derived : Derive.t) sched config =
       if not (Process.is_sporadic (Network.process net p)) then
         invalid_arg
           (Printf.sprintf "Engine.run: %S is periodic, not sporadic" name))
-    config.sporadic
+    sporadic
 
 (* Map every (server job id, frame) to the real sporadic event it
    handles, applying the Fig. 2 boundary rule: [place ((frame · n) +
@@ -377,18 +380,12 @@ type tick_plan = {
   per_access_t : int;
   arr_t : int array;  (* per job: phase within the frame *)
   dl_rel_t : int array;  (* per job: relative deadline of its process *)
-  is_server : bool array;
-  proc_of : int array;  (* per job: scheduled processor *)
-  body_proc : int array;  (* per job: network process index *)
-  mutable stamp_buf : int array;
-      (* per run: the stamps' ticks at [(frame · n) + job]; see
-         [tick_assignment] *)
   dur_t : int array option;
       (* per job: fixed duration ticks; [None] = draw per execution *)
 }
 
 type tick_proc = {
-  t_order : int array;
+  mutable t_order : int array;
   mutable t_frame : int;
   mutable t_pos : int;
   mutable t_busy : bool;
@@ -426,9 +423,8 @@ let bit_index b =
    rational core, so compilation failures degrade, never crash.  The
    grid covers the static times only, plus any extra [stamps]: a plan
    compiled without stamps serves every run whose stamps land on it. *)
-let tick_compile ?(stamps = []) net (derived : Derive.t) sched config =
+let tick_compile ?(stamps = []) net (derived : Derive.t) config =
   let g = derived.Derive.graph in
-  let n = Graph.n_jobs g in
   let jobs = Graph.jobs g in
   match Exec_time.durations config.exec ~jobs with
   | Exec_time.Opaque -> None
@@ -473,10 +469,6 @@ let tick_compile ?(stamps = []) net (derived : Derive.t) sched config =
             Array.map
               (fun j -> tk (Process.deadline (Network.process net j.Job.proc)))
               jobs;
-          is_server = Array.map (fun j -> j.Job.is_server) jobs;
-          proc_of = Array.init n (Static_schedule.proc sched);
-          body_proc = Array.map (fun j -> j.Job.proc) jobs;
-          stamp_buf = [||];
           dur_t =
             (match durs with
             | Exec_time.Fixed a -> Some (Array.map tk a)
@@ -486,112 +478,137 @@ let tick_compile ?(stamps = []) net (derived : Derive.t) sched config =
       | plan -> Some plan
       | exception (Timebase.Inexact | Rat.Overflow) -> None))
 
+let compile ?stamps net derived config =
+  if Metrics.enabled () then Metrics.incr (Metrics.counter "engine.compiles");
+  Trace.with_span "engine.compile" (fun () ->
+      tick_compile ?stamps net derived config)
+
+(* Per-domain engine workspace: every working array of [exec_ticks]
+   whose contents live for one run only.  Their shapes depend on sizes
+   alone (jobs, dependence edges, processors, records), so one
+   grow-only set per domain serves every prepared handle; nothing is
+   keyed on it, so it can never go stale, and a run reads only the
+   prefixes it wrote.  The first run of the largest network sizes it;
+   later runs pay a handful of prefix [fill]s. *)
+type workspace = {
+  mutable procs : tick_proc array;
+  mutable completions : int array;
+  (* per-job waiter segments, at the handle's [succ_off] and sized by
+     out-degree: a processor registers on a job only while its current
+     job has it as predecessor, and distinct registrants host distinct
+     successors, so out-degree bounds each segment.  A completion then
+     walks just its own segment — no list cell is ever consed. *)
+  mutable w_proc : int array;
+  mutable w_frame : int array;
+  mutable w_len : int array;
+  (* completed records as packed parallel arrays (grown on demand) *)
+  mutable s_job : int array;
+  mutable s_frame : int array;
+  mutable s_invoked : int array;
+  mutable s_start : int array;
+  mutable s_finish : int array;
+  mutable s_deadline : int array;
+  mutable s_skip : Bytes.t;
+  (* replay template, captured in job start order *)
+  mutable p_job : int array;
+  mutable p_invoked : int array;
+  mutable p_start : int array;
+  mutable p_finish : int array;
+  mutable p_deadline : int array;
+  mutable p_skip : Bytes.t;
+  (* the steady-frame replay program: the template frame's executed
+     bodies in call order, each with the index of its invocation
+     instant among the frame's distinct instants [u_tick] *)
+  mutable r_proc : int array;
+  mutable r_uidx : int array;
+  mutable u_tick : int array;
+  (* the run's stamps as ticks at [(frame · n) + job]; see
+     [tick_assignment] *)
+  mutable stamps : int array;
+  events : Iheap.t;
+  mutable hot : int array;
+}
+
+let workspace_key : workspace Domain.DLS.key =
+  Domain.DLS.new_key (fun () ->
+      {
+        procs = [||];
+        completions = [||];
+        w_proc = [||];
+        w_frame = [||];
+        w_len = [||];
+        s_job = [||];
+        s_frame = [||];
+        s_invoked = [||];
+        s_start = [||];
+        s_finish = [||];
+        s_deadline = [||];
+        s_skip = Bytes.empty;
+        p_job = [||];
+        p_invoked = [||];
+        p_start = [||];
+        p_finish = [||];
+        p_deadline = [||];
+        p_skip = Bytes.empty;
+        r_proc = [||];
+        r_uidx = [||];
+        u_tick = [||];
+        stamps = [||];
+        events = Iheap.create ~capacity:16 ();
+        hot = [||];
+      })
+
+(* [a] itself when it holds [len] entries, else a fresh zeroed array *)
+let fit a len = if Array.length a >= len then a else Array.make len 0
+let fit_bytes b len = if Bytes.length b >= len then b else Bytes.make len '\000'
+
 (* The Fig. 2 assignment straight onto [plan]'s grid: [Some (table,
    unhandled)] with the table flat at [(frame · n) + job], [min_int] for
    a slot without a real event and [[||]] for a run without any, or
-   [None] when a stamp is off the grid.  The table is the plan's own
-   buffer, refilled per run: a plan is confined to the domain whose memo
-   holds it, and a run reads the table only while it executes. *)
-let tick_assignment net (derived : Derive.t) plan ~frames traces =
+   [None] when a stamp is off the grid.  The table is the workspace's
+   buffer, refilled per run and read only while the run executes. *)
+let tick_assignment net (derived : Derive.t) plan ws ~frames traces =
   let size = Graph.n_jobs derived.Derive.graph * frames in
   let used = ref false in
   let place i stamp =
     if not !used then begin
       used := true;
-      if Array.length plan.stamp_buf <> size then
-        plan.stamp_buf <- Array.make size min_int
-      else Array.fill plan.stamp_buf 0 size min_int
+      ws.stamps <- fit ws.stamps size;
+      Array.fill ws.stamps 0 size min_int
     end;
-    plan.stamp_buf.(i) <- Timebase.ticks plan.tb stamp
+    ws.stamps.(i) <- Timebase.ticks plan.tb stamp
   in
   match assign_windows net derived ~frames traces ~place with
-  | unhandled -> Some ((if !used then plan.stamp_buf else [||]), unhandled)
+  | unhandled -> Some ((if !used then ws.stamps else [||]), unhandled)
   | exception (Timebase.Inexact | Rat.Overflow) -> None
 
-(* Pooled network state, one per domain: building instances, channel
-   states, route tables and prepared job contexts costs microseconds,
-   and repeated runs over the same network (benchmarks, fuzz campaigns,
-   periodic re-simulation) reuse the previous run's state after a
-   [reset].  Results stay valid across reuse because they capture
-   history {e snapshots} (see {!Fppn.Channel.snapshot}), never the
-   state itself. *)
-let state_pool_key : (Network.t * Netstate.t) option ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref None)
-
-let pooled_state net =
-  let pool = Domain.DLS.get state_pool_key in
-  match !pool with
-  | Some (pn, st) when pn == net ->
-    Netstate.reset st;
-    st
-  | _ ->
-    let st = Netstate.create net in
-    pool := Some (net, st);
-    st
-
-(* Per-plan engine scratch: every working array of [exec_ticks] whose
-   shape depends only on the compiled plan and the schedule.  The plan
-   memo hands back the same plan object across repeated identical runs,
-   so keying on physical equality of (plan, schedule) makes reruns pay
-   a handful of [Array.fill]s instead of rebuilding the dependence
-   segments and reallocating a dozen arrays. *)
-type tick_scratch = {
-  sc_plan : tick_plan;
-  sc_sched : Static_schedule.t;
-  sc_procs : tick_proc array;
-  sc_completions : int array;
-  (* flat predecessor segments, and per-job waiter segments sized by
-     out-degree: a processor registers on a job only while its current
-     job has it as predecessor, and distinct registrants host distinct
-     successors, so out-degree bounds each segment.  A completion then
-     walks just its own segment — no list cell is ever consed. *)
-  sc_pred_off : int array;
-  sc_pred_job : int array;
-  sc_succ_off : int array;
-  sc_w_proc : int array;
-  sc_w_frame : int array;
-  sc_w_len : int array;
-  (* completed records as packed parallel arrays (grown on demand) *)
-  sc_s_job : int array ref;
-  sc_s_frame : int array ref;
-  sc_s_invoked : int array ref;
-  sc_s_start : int array ref;
-  sc_s_finish : int array ref;
-  sc_s_deadline : int array ref;
-  sc_s_skip : Bytes.t ref;
-  (* replay template, captured in job start order *)
-  sc_p_job : int array;
-  sc_p_invoked : int array;
-  sc_p_start : int array;
-  sc_p_finish : int array;
-  sc_p_deadline : int array;
-  sc_p_skip : Bytes.t;
-  sc_events : Iheap.t;
-  sc_hot : int array;
-  (* compacted replay program (executed bodies + deduped invocation
-     instants) and its precomputed rationals.  The template is a pure
-     function of (plan, sched, frames), so across runs on one scratch
-     the program is rebuilt in place and the rationals are reused
-     unless a tick actually changed — the steady-frame loop of a
-     repeated run then allocates nothing at all. *)
-  sc_r_proc : int array;
-  sc_r_uidx : int array;
-  sc_u_tick : int array;
-  mutable sc_u_rat : Rat.t array;
-  mutable sc_rep_m : int; (* -1 = no cached program *)
-  mutable sc_rep_n_u : int;
-  mutable sc_rep_frames : int;
+(* The handle: everything a run needs that does not depend on its
+   sporadic stamps. *)
+type prepared = {
+  net : Network.t;
+  derived : Derive.t;
+  sched : Static_schedule.t;
+  config : config;  (* its [sporadic] plays no part *)
+  plan : tick_plan option;  (* [None]: the rational core runs *)
+  (* flat predecessor segments, and each job's waiter segment offset *)
+  pred_off : int array;
+  pred_job : int array;
+  succ_off : int array;
+  state : Netstate.t;
+  mutable replay_nows : Rat.t array;
+      (* every replayed frame's distinct invocation instants, [(f · n_u)
+         + u] for replayed frame [f]; built by the first replay *)
 }
 
-let make_scratch (derived : Derive.t) sched plan ~n_procs ~cap0 =
+let prepare net (derived : Derive.t) sched config =
+  check_static derived sched config;
   let g = derived.Derive.graph in
   let n = Graph.n_jobs g in
   let pred_off = Array.make (n + 1) 0 in
   for j = 0 to n - 1 do
     pred_off.(j + 1) <- pred_off.(j) + List.length (Graph.preds g j)
   done;
-  let m_edges = pred_off.(n) in
-  let pred_job = Array.make (max 1 m_edges) 0 in
+  let pred_job = Array.make pred_off.(n) 0 in
   let succ_off = Array.make (n + 1) 0 in
   for j = 0 to n - 1 do
     let i = ref pred_off.(j) in
@@ -606,90 +623,84 @@ let make_scratch (derived : Derive.t) sched plan ~n_procs ~cap0 =
     succ_off.(q + 1) <- succ_off.(q + 1) + succ_off.(q)
   done;
   {
-    sc_plan = plan;
-    sc_sched = sched;
-    sc_procs =
-      Array.init n_procs (fun p ->
-          {
-            t_order = Static_schedule.order_on sched p;
-            t_frame = 0;
-            t_pos = 0;
-            t_busy = false;
-            t_job = -1;
-            t_invoked = 0;
-            t_start = 0;
-            t_finish = 0;
-            t_deadline = 0;
-            t_missing = 0;
-          });
-    sc_completions = Array.make n 0;
-    sc_pred_off = pred_off;
-    sc_pred_job = pred_job;
-    sc_succ_off = succ_off;
-    sc_w_proc = Array.make (max 1 m_edges) 0;
-    sc_w_frame = Array.make (max 1 m_edges) 0;
-    sc_w_len = Array.make n 0;
-    sc_s_job = ref (Array.make cap0 0);
-    sc_s_frame = ref (Array.make cap0 0);
-    sc_s_invoked = ref (Array.make cap0 0);
-    sc_s_start = ref (Array.make cap0 0);
-    sc_s_finish = ref (Array.make cap0 0);
-    sc_s_deadline = ref (Array.make cap0 0);
-    sc_s_skip = ref (Bytes.make cap0 '\000');
-    sc_p_job = Array.make (max 1 n) 0;
-    sc_p_invoked = Array.make (max 1 n) 0;
-    sc_p_start = Array.make (max 1 n) 0;
-    sc_p_finish = Array.make (max 1 n) 0;
-    sc_p_deadline = Array.make (max 1 n) 0;
-    sc_p_skip = Bytes.make (max 1 n) '\000';
-    sc_events = Iheap.create ~capacity:(max 16 (2 * n_procs)) ();
-    sc_hot = Array.make ((n_procs + 62) / 63) 0;
-    sc_r_proc = Array.make (max 1 n) 0;
-    sc_r_uidx = Array.make (max 1 n) 0;
-    sc_u_tick = Array.make (max 1 n) 0;
-    sc_u_rat = [||];
-    sc_rep_m = -1;
-    sc_rep_n_u = 0;
-    sc_rep_frames = 0;
+    net;
+    derived;
+    sched;
+    config;
+    plan = compile net derived config;
+    pred_off;
+    pred_job;
+    succ_off;
+    state = Netstate.create net;
+    replay_nows = [||];
   }
 
-let scratch_pool_key : tick_scratch option ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref None)
-
-(* A plan object is uniquely tied to its compile inputs (fresh compiles
-   make fresh objects; the memo only returns a plan for an identical
-   configuration), so physical equality on (plan, sched) guarantees the
-   scratch shapes still fit. *)
-let pooled_scratch derived sched plan ~n_procs ~cap0 =
-  let pool = Domain.DLS.get scratch_pool_key in
-  let sc =
-    match !pool with
-    | Some sc when sc.sc_plan == plan && sc.sc_sched == sched -> sc
-    | _ ->
-      let sc = make_scratch derived sched plan ~n_procs ~cap0 in
-      pool := Some sc;
-      sc
-  in
-  Array.fill sc.sc_completions 0 (Array.length sc.sc_completions) 0;
-  Array.fill sc.sc_w_len 0 (Array.length sc.sc_w_len) 0;
-  Array.fill sc.sc_hot 0 (Array.length sc.sc_hot) 0;
-  Iheap.clear sc.sc_events;
-  Array.iter
-    (fun ps ->
-      ps.t_frame <- 0;
-      ps.t_pos <- 0;
-      ps.t_busy <- false;
-      ps.t_job <- -1;
-      ps.t_invoked <- 0;
-      ps.t_start <- 0;
-      ps.t_finish <- 0;
-      ps.t_deadline <- 0;
-      ps.t_missing <- 0)
-    sc.sc_procs;
+(* The workspace, fitted to [p] and cleared over the prefixes a run
+   reads before writing. *)
+let fitted_workspace p ~cap0 =
+  let ws = Domain.DLS.get workspace_key in
+  let n = Graph.n_jobs p.derived.Derive.graph in
+  let n_procs = p.config.platform.Platform.n_procs in
+  let m_edges = Array.length p.pred_job in
+  let nw = (n_procs + 62) / 63 in
+  ws.completions <- fit ws.completions n;
+  ws.w_proc <- fit ws.w_proc m_edges;
+  ws.w_frame <- fit ws.w_frame m_edges;
+  ws.w_len <- fit ws.w_len n;
+  ws.hot <- fit ws.hot nw;
+  ws.s_job <- fit ws.s_job cap0;
+  ws.s_frame <- fit ws.s_frame cap0;
+  ws.s_invoked <- fit ws.s_invoked cap0;
+  ws.s_start <- fit ws.s_start cap0;
+  ws.s_finish <- fit ws.s_finish cap0;
+  ws.s_deadline <- fit ws.s_deadline cap0;
+  ws.s_skip <- fit_bytes ws.s_skip cap0;
+  ws.p_job <- fit ws.p_job n;
+  ws.p_invoked <- fit ws.p_invoked n;
+  ws.p_start <- fit ws.p_start n;
+  ws.p_finish <- fit ws.p_finish n;
+  ws.p_deadline <- fit ws.p_deadline n;
+  ws.p_skip <- fit_bytes ws.p_skip n;
+  if Array.length ws.procs < n_procs then
+    ws.procs <-
+      Array.init n_procs (fun i ->
+          if i < Array.length ws.procs then ws.procs.(i)
+          else
+            {
+              t_order = [||];
+              t_frame = 0;
+              t_pos = 0;
+              t_busy = false;
+              t_job = -1;
+              t_invoked = 0;
+              t_start = 0;
+              t_finish = 0;
+              t_deadline = 0;
+              t_missing = 0;
+            });
+  Array.fill ws.completions 0 n 0;
+  Array.fill ws.w_len 0 n 0;
+  Array.fill ws.hot 0 nw 0;
+  Iheap.clear ws.events;
+  for i = 0 to n_procs - 1 do
+    let ps = ws.procs.(i) in
+    ps.t_order <- Static_schedule.order_on p.sched i;
+    ps.t_frame <- 0;
+    ps.t_pos <- 0;
+    ps.t_busy <- false;
+    ps.t_job <- -1;
+    ps.t_invoked <- 0;
+    ps.t_start <- 0;
+    ps.t_finish <- 0;
+    ps.t_deadline <- 0;
+    ps.t_missing <- 0
+  done;
   (* skip flags are only ever set, never cleared, on the hot path *)
-  Bytes.fill !(sc.sc_s_skip) 0 (Bytes.length !(sc.sc_s_skip)) '\000';
-  Bytes.fill sc.sc_p_skip 0 (Bytes.length sc.sc_p_skip) '\000';
-  sc
+  Bytes.fill ws.s_skip 0
+    (min (Bytes.length ws.s_skip) (n * p.config.frames))
+    '\000';
+  Bytes.fill ws.p_skip 0 n '\000';
+  ws
 
 (* The first [len] entries of a record column, copied in chunks of at
    most 256 words, so every chunk is allocated in the minor heap: a
@@ -700,15 +711,19 @@ let chunked sub a len =
   List.init ((len + 255) / 256) (fun c ->
       sub a (c * 256) (min 256 (len - (c * 256))))
 
-let exec_ticks net (derived : Derive.t) sched config ~unhandled_events plan
-    ~stamp_arr =
+let exec_ticks p ~unhandled_events plan ~stamp_arr =
+  let derived = p.derived and config = p.config in
   let g = derived.Derive.graph in
   let n = Graph.n_jobs g in
+  let jobs = Graph.jobs g in
   let frames = config.frames in
   let n_procs = config.platform.Platform.n_procs in
-  let state = pooled_state net in
-  Netstate.set_inputs state config.inputs;
-  Netstate.set_access_counting state (plan.per_access_t > 0);
+  let state = p.state in
+  Netstate.reset state;
+  let runner =
+    Netstate.runner ~counting:(plan.per_access_t > 0) ~inputs:config.inputs
+      state
+  in
   (* runs without real events skip the stamp table entirely *)
   let have_stamps = Array.length stamp_arr > 0 in
   (* Steady-state replay: with per-job deterministic durations, no
@@ -720,7 +735,9 @@ let exec_ticks net (derived : Derive.t) sched config ~unhandled_events plan
      including the template run through the event loop; if they all
      stay inside their windows, the remaining frames only re-run the
      template's job bodies in call order — their records are implied by
-     the captured template and materialized on demand. *)
+     the captured template and materialized on demand.  (A one-off
+     plan only ever serves a run with stamps, so a replay always runs
+     on the handle's own plan.) *)
   let tpl_frame = if plan.first_t = plan.steady_t then 0 else 1 in
   let replay_candidate =
     plan.dur_t <> None && plan.per_access_t = 0 && (not have_stamps)
@@ -731,60 +748,53 @@ let exec_ticks net (derived : Derive.t) sched config ~unhandled_events plan
   let cap0 =
     max 1 (if replay_candidate then (tpl_frame + 1) * n else n * frames)
   in
-  let sc = pooled_scratch derived sched plan ~n_procs ~cap0 in
-  let procs = sc.sc_procs in
-  let completions = sc.sc_completions in
-  let pred_off = sc.sc_pred_off in
-  let pred_job = sc.sc_pred_job in
-  let succ_off = sc.sc_succ_off in
-  let w_proc = sc.sc_w_proc in
-  let w_frame = sc.sc_w_frame in
-  let w_len = sc.sc_w_len in
-  let s_job = sc.sc_s_job in
-  let s_frame = sc.sc_s_frame in
-  let s_invoked = sc.sc_s_invoked in
-  let s_start = sc.sc_s_start in
-  let s_finish = sc.sc_s_finish in
-  let s_deadline = sc.sc_s_deadline in
-  let s_skip = sc.sc_s_skip in
+  let ws = fitted_workspace p ~cap0 in
+  let procs = ws.procs in
+  let completions = ws.completions in
+  let pred_off = p.pred_off in
+  let pred_job = p.pred_job in
+  let succ_off = p.succ_off in
+  let w_proc = ws.w_proc in
+  let w_frame = ws.w_frame in
+  let w_len = ws.w_len in
   let s_n = ref 0 in
   let push_rec job frame invoked start finish deadline skipped =
     let i = !s_n in
-    if i = Array.length !s_job then begin
+    if i = Array.length ws.s_job then begin
       (* replay declined after frame 1: grow to the full horizon *)
       let cap = n * frames in
       let grow a =
         let na = Array.make cap 0 in
-        Array.blit !a 0 na 0 i;
-        a := na
+        Array.blit a 0 na 0 i;
+        na
       in
-      grow s_job;
-      grow s_frame;
-      grow s_invoked;
-      grow s_start;
-      grow s_finish;
-      grow s_deadline;
+      ws.s_job <- grow ws.s_job;
+      ws.s_frame <- grow ws.s_frame;
+      ws.s_invoked <- grow ws.s_invoked;
+      ws.s_start <- grow ws.s_start;
+      ws.s_finish <- grow ws.s_finish;
+      ws.s_deadline <- grow ws.s_deadline;
       let nb = Bytes.make cap '\000' in
-      Bytes.blit !s_skip 0 nb 0 i;
-      s_skip := nb
+      Bytes.blit ws.s_skip 0 nb 0 i;
+      ws.s_skip <- nb
     end;
-    !s_job.(i) <- job;
-    !s_frame.(i) <- frame;
-    !s_invoked.(i) <- invoked;
-    !s_start.(i) <- start;
-    !s_finish.(i) <- finish;
-    !s_deadline.(i) <- deadline;
-    if skipped then Bytes.set !s_skip i '\001';
+    ws.s_job.(i) <- job;
+    ws.s_frame.(i) <- frame;
+    ws.s_invoked.(i) <- invoked;
+    ws.s_start.(i) <- start;
+    ws.s_finish.(i) <- finish;
+    ws.s_deadline.(i) <- deadline;
+    if skipped then Bytes.set ws.s_skip i '\001';
     s_n := i + 1
   in
   (* template, captured in job start order — the order bodies must
      re-run in for channel histories to stay bit-identical *)
-  let p_job = sc.sc_p_job in
-  let p_invoked = sc.sc_p_invoked in
-  let p_start = sc.sc_p_start in
-  let p_finish = sc.sc_p_finish in
-  let p_deadline = sc.sc_p_deadline in
-  let p_skip = sc.sc_p_skip in
+  let p_job = ws.p_job in
+  let p_invoked = ws.p_invoked in
+  let p_start = ws.p_start in
+  let p_finish = ws.p_finish in
+  let p_deadline = ws.p_deadline in
+  let p_skip = ws.p_skip in
   let tpl_n = ref 0 in
   let capture frame job invoked start finish deadline skipped =
     if replay_candidate && frame = tpl_frame && !tpl_n < n then begin
@@ -815,7 +825,7 @@ let exec_ticks net (derived : Derive.t) sched config ~unhandled_events plan
   (* events carry the tick as key and the processor as payload — two
      immediate ints, so any processor count fits (the previous packed
      encoding capped networks at 64 processors) *)
-  let events = sc.sc_events in
+  let events = ws.events in
   let push_event tick p =
     incr q_pushes;
     Iheap.push events ~key:tick ~pay:p
@@ -823,7 +833,7 @@ let exec_ticks net (derived : Derive.t) sched config ~unhandled_events plan
   let now = ref 0 in
   (* hot set: one bit per processor, swept in ascending index *)
   let nw = (n_procs + 62) / 63 in
-  let hot = sc.sc_hot in
+  let hot = ws.hot in
   let set_hot p = hot.(p / 63) <- hot.(p / 63) lor (1 lsl (p mod 63)) in
   (* model-time rationals survive only inside job bodies ([ctx.now]);
      arrivals repeat across jobs, so a one-entry cache makes the
@@ -919,7 +929,7 @@ let exec_ticks net (derived : Derive.t) sched config ~unhandled_events plan
         end
         else begin
           let stamp =
-            if plan.is_server.(job) then
+            if jobs.(job).Job.is_server then
               if have_stamps then stamp_arr.((ps.t_frame * n) + job)
               else min_int
             else invocation
@@ -939,7 +949,7 @@ let exec_ticks net (derived : Derive.t) sched config ~unhandled_events plan
             let a0 =
               if plan.per_access_t = 0 then 0 else Netstate.access_count state
             in
-            Netstate.run_job_fast state ~proc:plan.body_proc.(job)
+            Netstate.run_job_fast runner ~proc:jobs.(job).Job.proc
               ~now:(now_rat stamp);
             if tracing then Trace.span_end ();
             let duration =
@@ -1030,16 +1040,20 @@ let exec_ticks net (derived : Derive.t) sched config ~unhandled_events plan
   let steady_state_ok () =
     !tpl_n = n
     && !s_n = (tpl_frame + 1) * n
-    && Array.for_all
-         (fun ps ->
-           Array.length ps.t_order = 0
-           || ((not ps.t_busy)
-              && ps.t_frame = tpl_frame + 1
-              && ps.t_missing = 0))
-         procs
+    && (let rec idle p =
+          p >= n_procs
+          ||
+          let ps = procs.(p) in
+          (Array.length ps.t_order = 0
+          || ((not ps.t_busy)
+             && ps.t_frame = tpl_frame + 1
+             && ps.t_missing = 0))
+          && idle (p + 1)
+        in
+        idle 0)
     &&
     let ok = ref true in
-    let sf = !s_finish and sfr = !s_frame in
+    let sf = ws.s_finish and sfr = ws.s_frame in
     for i = 0 to !s_n - 1 do
       if sf.(i) >= (sfr.(i) + 1) * plan.h_t then ok := false
     done;
@@ -1050,18 +1064,17 @@ let exec_ticks net (derived : Derive.t) sched config ~unhandled_events plan
     (* compact the template to its executed entries and dedup their
        invocation instants: a frame has at most a handful of distinct
        arrival times, so each frame converts each tick to a rational
-       once instead of once per job.  The program is built into the
-       pooled scratch arrays, comparing against the previous run's
-       contents on the way — when nothing changed (the common case:
-       the template is a function of (plan, sched, frames)), the
-       precomputed rationals are reused and the whole replay allocates
-       nothing. *)
-    let r_proc = sc.sc_r_proc in
-    let r_uidx = sc.sc_r_uidx in
-    let u_tick = sc.sc_u_tick in
-    let changed = ref (sc.sc_rep_m < 0) in
-    let n_u = ref 0 in
-    let k = ref 0 in
+       once instead of once per job.  The template is a function of the
+       handle's (plan, schedule, frames) alone — durations are fixed and
+       no stamps are in play — so the rationals, all of them up front,
+       are computed by the first replay and kept on the handle: the
+       steady-frame loop below then allocates nothing at all (the
+       allocation gate in the perf harness holds it to that). *)
+    ws.r_proc <- fit ws.r_proc n;
+    ws.r_uidx <- fit ws.r_uidx n;
+    ws.u_tick <- fit ws.u_tick n;
+    let r_proc = ws.r_proc and r_uidx = ws.r_uidx and u_tick = ws.u_tick in
+    let n_u = ref 0 and m = ref 0 in
     for i = 0 to n - 1 do
       if Bytes.get p_skip i = '\000' then begin
         let inv = p_invoked.(i) in
@@ -1070,42 +1083,28 @@ let exec_ticks net (derived : Derive.t) sched config ~unhandled_events plan
           incr j
         done;
         if !j = !n_u then begin
-          if u_tick.(!n_u) <> inv then changed := true;
           u_tick.(!n_u) <- inv;
           incr n_u
         end;
-        r_proc.(!k) <- plan.body_proc.(p_job.(i));
-        r_uidx.(!k) <- !j;
-        incr k
+        r_proc.(!m) <- jobs.(p_job.(i)).Job.proc;
+        r_uidx.(!m) <- !j;
+        incr m
       end
     done;
-    let m = !k in
-    let n_u = !n_u in
-    let k_frames = frames - 1 - tpl_frame in
-    if
-      !changed || m <> sc.sc_rep_m || n_u <> sc.sc_rep_n_u
-      || k_frames <> sc.sc_rep_frames
-    then begin
-      (* all replay instants up front, so the steady-frame loop below
-         allocates nothing at all — the allocation gate in the perf
-         harness holds it to that *)
-      let u_rat = Array.make (max 1 (k_frames * n_u)) Rat.zero in
+    let n_u = !n_u and k_frames = frames - 1 - tpl_frame in
+    if Array.length p.replay_nows <> k_frames * n_u then begin
+      let nows = Array.make (k_frames * n_u) Rat.zero in
       for f = 0 to k_frames - 1 do
         let shift = (f + 1) * plan.h_t in
         for j = 0 to n_u - 1 do
-          u_rat.((f * n_u) + j) <-
-            Timebase.of_ticks plan.tb (u_tick.(j) + shift)
+          nows.((f * n_u) + j) <- Timebase.of_ticks plan.tb (u_tick.(j) + shift)
         done
       done;
-      sc.sc_u_rat <- u_rat;
-      sc.sc_rep_m <- m;
-      sc.sc_rep_n_u <- n_u;
-      sc.sc_rep_frames <- k_frames
+      p.replay_nows <- nows
     end;
-    let u_rat = sc.sc_u_rat in
     for f = 0 to k_frames - 1 do
-      Netstate.run_jobs_fast state ~procs:r_proc ~now_idx:r_uidx ~nows:u_rat
-        ~now_base:(f * n_u) ~count:m
+      Netstate.run_jobs_fast runner ~procs:r_proc ~now_idx:r_uidx
+        ~nows:p.replay_nows ~now_base:(f * n_u) ~count:!m
     done;
     replayed := true
   in
@@ -1127,11 +1126,11 @@ let exec_ticks net (derived : Derive.t) sched config ~unhandled_events plan
   and misses = ref 0
   and max_resp = ref 0
   and max_frame = ref (-1) in
-  (let sj = !s_skip
-   and sfin = !s_finish
-   and sdl = !s_deadline
-   and sin = !s_invoked
-   and sfr = !s_frame in
+  (let sj = ws.s_skip
+   and sfin = ws.s_finish
+   and sdl = ws.s_deadline
+   and sin = ws.s_invoked
+   and sfr = ws.s_frame in
    for i = 0 to !s_n - 1 do
      if Bytes.get sj i <> '\000' then incr skipped
      else begin
@@ -1165,17 +1164,17 @@ let exec_ticks net (derived : Derive.t) sched config ~unhandled_events plan
     Metrics.add (Metrics.counter "engine.queue_pushes") !q_pushes;
     if !replayed then Metrics.incr (Metrics.counter "engine.replays")
   end;
-  (* the scratch arrays belong to the pool and are overwritten by the
-     next run, so the (lazily built) trace captures exact-length copies
+  (* the workspace arrays are overwritten by the next run on this
+     domain, so the (lazily built) trace captures exact-length copies
      now, in minor-heap-sized chunks (see [chunked]) *)
   let c_n = !s_n in
-  let c_job = chunked Array.sub !s_job c_n
-  and c_frame = chunked Array.sub !s_frame c_n
-  and c_invoked = chunked Array.sub !s_invoked c_n
-  and c_start = chunked Array.sub !s_start c_n
-  and c_finish = chunked Array.sub !s_finish c_n
-  and c_deadline = chunked Array.sub !s_deadline c_n
-  and c_skip = chunked Bytes.sub !s_skip c_n in
+  let c_job = chunked Array.sub ws.s_job c_n
+  and c_frame = chunked Array.sub ws.s_frame c_n
+  and c_invoked = chunked Array.sub ws.s_invoked c_n
+  and c_start = chunked Array.sub ws.s_start c_n
+  and c_finish = chunked Array.sub ws.s_finish c_n
+  and c_deadline = chunked Array.sub ws.s_deadline c_n
+  and c_skip = chunked Bytes.sub ws.s_skip c_n in
   let t_n = if !replayed then n else 0 in
   let cp_job = chunked Array.sub p_job t_n
   and cp_invoked = chunked Array.sub p_invoked t_n
@@ -1197,6 +1196,7 @@ let exec_ticks net (derived : Derive.t) sched config ~unhandled_events plan
            and materialize rationals only here.  With replay, frames
            0-1 all precede frame 2 and each template frame is disjoint
            from the next, so sorted blocks concatenate sorted. *)
+        let proc_of = Array.init n (Static_schedule.proc p.sched) in
         let m = c_n in
         let sj = Array.concat c_job
         and sfr = Array.concat c_frame
@@ -1209,7 +1209,7 @@ let exec_ticks net (derived : Derive.t) sched config ~unhandled_events plan
           let c = Int.compare sst.(a) sst.(b) in
           if c <> 0 then c
           else
-            let c = Int.compare plan.proc_of.(sj.(a)) plan.proc_of.(sj.(b)) in
+            let c = Int.compare proc_of.(sj.(a)) proc_of.(sj.(b)) in
             if c <> 0 then c
             else
               let c = Int.compare sfr.(a) sfr.(b) in
@@ -1236,7 +1236,7 @@ let exec_ticks net (derived : Derive.t) sched config ~unhandled_events plan
             if c <> 0 then c
             else
               let c =
-                Int.compare plan.proc_of.(cp_job.(a)) plan.proc_of.(cp_job.(b))
+                Int.compare proc_of.(cp_job.(a)) proc_of.(cp_job.(b))
               in
               if c <> 0 then c else Int.compare cp_job.(a) cp_job.(b)
           in
@@ -1252,14 +1252,14 @@ let exec_ticks net (derived : Derive.t) sched config ~unhandled_events plan
           let tframe = Array.make n tpl_frame in
           for f = frames - 1 downto tpl_frame + 1 do
             acc :=
-              Exec_trace.of_ticks ~den ~labels ~procs:plan.proc_of ~count:n
+              Exec_trace.of_ticks ~den ~labels ~procs:proc_of ~count:n
                 ~job:tjob ~frame:tframe ~invoked:tinv ~start:tstart
                 ~finish:tfin ~deadline:tdl ~skipped:tskip
                 ~tick_shift:((f - tpl_frame) * plan.h_t)
                 ~frame_shift:(f - tpl_frame) !acc
           done
         end;
-        Exec_trace.of_ticks ~den ~labels ~procs:plan.proc_of ~count:m ~job
+        Exec_trace.of_ticks ~den ~labels ~procs:proc_of ~count:m ~job
           ~frame ~invoked ~start ~finish ~deadline ~skipped ~tick_shift:0
           ~frame_shift:0 !acc
       end
@@ -1270,8 +1270,8 @@ let exec_ticks net (derived : Derive.t) sched config ~unhandled_events plan
   let overhead_end frame =
     Rat.add (frame_base frame) (Platform.frame_overhead config.platform ~frame)
   in
-  (* O(#channels) snapshots decouple the result from the pooled state:
-     the next run may reset and reuse [state], and these keep reading
+  (* O(#channels) snapshots decouple the result from the handle's
+     state: the next run resets and reuses [state], and these keep reading
      the arrays this run wrote *)
   let chan_snap = Netstate.channel_snapshot state in
   let out_snap = Netstate.output_snapshot state in
@@ -1295,83 +1295,6 @@ let exec_ticks net (derived : Derive.t) sched config ~unhandled_events plan
       lazy (overhead_segments_of config ~frame_base ~overhead_end);
   }
 
-(* One-entry, domain-local memo of the compiled plan.  Benchmarks and
-   periodic re-simulation call [run] repeatedly with identical
-   arguments; compilation is pure for every compilable model ([Profile]
-   callbacks are required to be pure), so the plan can be reused
-   whenever all four ingredients are physically unchanged.  The memo is
-   per-domain, so concurrent runs never share an entry. *)
-(* Structural-enough config equality for the memo: scalars compare by
-   value, closures by identity (callers that rebuild [default_config]
-   per run share the library-level defaults, so the common case still
-   hits).  The sporadic traces play no part: the plan does not depend
-   on them. *)
-let same_config a b =
-  a == b
-  || (a.frames = b.frames && a.exec == b.exec && a.inputs == b.inputs
-     && (a.platform == b.platform
-        || (a.platform.Platform.n_procs = b.platform.Platform.n_procs
-           && a.platform.Platform.overhead == b.platform.Platform.overhead)))
-
-type plan_memo = {
-  pm_net : Fppn.Network.t;
-  pm_derived : Derive.t;
-  pm_sched : Static_schedule.t;
-  pm_config : config;
-  pm_plan : tick_plan option;
-}
-
-let plan_memo_key : plan_memo option ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref None)
-
-let compile ?stamps net derived sched config =
-  if Metrics.enabled () then Metrics.incr (Metrics.counter "engine.compiles");
-  Trace.with_span "engine.compile" (fun () ->
-      tick_compile ?stamps net derived sched config)
-
-let compiled_plan net derived sched config =
-  let memo = Domain.DLS.get plan_memo_key in
-  match !memo with
-  | Some m
-    when m.pm_net == net && m.pm_derived == derived && m.pm_sched == sched
-         && same_config m.pm_config config ->
-    m.pm_plan
-  | _ ->
-    let plan = compile net derived sched config in
-    memo :=
-      Some
-        {
-          pm_net = net;
-          pm_derived = derived;
-          pm_sched = sched;
-          pm_config = config;
-          pm_plan = plan;
-        };
-    plan
-
-(* The memoized plan with the run's stamps on its grid.  A stamp off
-   that grid makes this run alone compile a one-off plan that includes
-   its stamps (counted by [engine.stamp_recompiles], never memoized). *)
-let plan_for_run net derived sched config =
-  let frames = config.frames and traces = config.sporadic in
-  match compiled_plan net derived sched config with
-  | None -> None
-  | Some plan -> (
-    match tick_assignment net derived plan ~frames traces with
-    | Some (stamp_arr, unhandled) -> Some (plan, stamp_arr, unhandled)
-    | None -> (
-      if Metrics.enabled () then
-        Metrics.incr (Metrics.counter "engine.stamp_recompiles");
-      let stamps = ref [] in
-      ignore
-        (assign_windows net derived ~frames traces ~place:(fun _ s ->
-             stamps := s :: !stamps));
-      match compile ~stamps:!stamps net derived sched config with
-      | None -> None
-      | Some plan ->
-        Option.map
-          (fun (stamp_arr, unhandled) -> (plan, stamp_arr, unhandled))
-          (tick_assignment net derived plan ~frames traces)))
 
 let run_rat net derived sched config =
   let assigned, unhandled_events =
@@ -1380,19 +1303,87 @@ let run_rat net derived sched config =
   Trace.with_span "engine.exec.rat" (fun () ->
       exec_rat net derived sched config ~assigned ~unhandled_events)
 
+(* The run's stamps on the handle's grid.  A stamp off that grid makes
+   this run alone compile a one-off plan that includes its stamps
+   (counted by [engine.stamp_recompiles]); the handle keeps its own. *)
+let exec_unspanned p ~sporadic =
+  check_sporadic p.net sporadic;
+  let net = p.net and derived = p.derived and frames = p.config.frames in
+  let rat () = run_rat net derived p.sched { p.config with sporadic } in
+  let ticks plan (stamp_arr, unhandled_events) =
+    Trace.with_span "engine.exec.ticks" (fun () ->
+        exec_ticks p ~unhandled_events plan ~stamp_arr)
+  in
+  match p.plan with
+  | None -> rat ()
+  | Some plan -> (
+    let ws = Domain.DLS.get workspace_key in
+    match tick_assignment net derived plan ws ~frames sporadic with
+    | Some assignment -> ticks plan assignment
+    | None -> (
+      if Metrics.enabled () then
+        Metrics.incr (Metrics.counter "engine.stamp_recompiles");
+      let stamps = ref [] in
+      ignore
+        (assign_windows net derived ~frames sporadic ~place:(fun _ s ->
+             stamps := s :: !stamps));
+      match compile ~stamps:!stamps net derived p.config with
+      | None -> rat ()
+      | Some plan -> (
+        match tick_assignment net derived plan ws ~frames sporadic with
+        | Some assignment -> ticks plan assignment
+        | None -> rat ())))
+
+let exec p ~sporadic =
+  Trace.with_span "engine.run" (fun () -> exec_unspanned p ~sporadic)
+
+module Prepared = struct
+  type t = prepared
+
+  let config p = p.config
+  let grid_den p = Option.map (fun plan -> Timebase.den plan.tb) p.plan
+end
+
+(* One-entry, domain-local memo of the handle for [run].  Benchmarks
+   and periodic re-simulation call [run] repeatedly with identical
+   arguments; preparation is pure for every compilable model
+   ([Profile] callbacks are required to be pure), so the handle can be
+   reused whenever net, derivation and schedule are physically
+   unchanged and the configs agree: scalars by value, closures by
+   identity (callers that rebuild [default_config] per run share the
+   library-level defaults, so the common case still hits).  The
+   sporadic traces play no part.  The memo is per-domain, so
+   concurrent runs never share a handle. *)
+let same_config a b =
+  a == b
+  || (a.frames = b.frames && a.exec == b.exec && a.inputs == b.inputs
+     && (a.platform == b.platform
+        || (a.platform.Platform.n_procs = b.platform.Platform.n_procs
+           && a.platform.Platform.overhead == b.platform.Platform.overhead)))
+
+let handle_key : prepared option ref Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> ref None)
+
 let run net derived sched config =
   Trace.with_span "engine.run" (fun () ->
-      check_config net derived sched config;
-      match plan_for_run net derived sched config with
-      | Some (plan, stamp_arr, unhandled_events) ->
-        Trace.with_span "engine.exec.ticks" (fun () ->
-            exec_ticks net derived sched config ~unhandled_events plan
-              ~stamp_arr)
-      | None -> run_rat net derived sched config)
+      let memo = Domain.DLS.get handle_key in
+      let p =
+        match !memo with
+        | Some p
+          when p.net == net && p.derived == derived && p.sched == sched
+               && same_config p.config config ->
+          p
+        | _ ->
+          let p = prepare net derived sched config in
+          memo := Some p;
+          p
+      in
+      exec_unspanned p ~sporadic:config.sporadic)
 
 let run_reference net derived sched config =
   Trace.with_span "engine.run_reference" (fun () ->
-      check_config net derived sched config;
+      check_static derived sched config;
+      check_sporadic net config.sporadic;
       run_rat net derived sched config)
 
 let signature r =

@@ -63,21 +63,79 @@ val channel_history : result -> (string * Fppn.Value.t list) list
 val output_history : result -> (string * Fppn.Value.t list) list
 val overhead_segments : result -> (int * Rt_util.Rat.t * Rt_util.Rat.t) list
 
+(** {1 Prepared handles: compile once, execute per run}
+
+    The Sec. IV policy fixes the static-order schedule offline and
+    leaves only invocation and precedence synchronization to run time.
+    The engine mirrors that split: {!prepare} does everything that does
+    not depend on the sporadic stamps, {!exec} does the rest. *)
+
+module Prepared : sig
+  type t
+  (** A network compiled for one (derivation, schedule, configuration).
+
+      {e Static}, built by {!prepare} and kept for the handle's life:
+      the tick plan over the static times (hyperperiod, overheads,
+      durations, WCETs, arrivals, deadlines), the task graph's
+      dependence segments, and the network's execution state
+      ({!Fppn.Netstate.t}, reset at the start of every run).  The first
+      run that replays steady frames adds their invocation instants as
+      rationals, which every later replay reuses.
+
+      {e Per run}, owned by {!exec}: the sporadic stamps and their
+      window assignment, the job context ({!Fppn.Netstate.runner}), and
+      every working array (completions, waiter segments, record
+      columns, replay template and program, event queue, hot set,
+      per-processor static orders).  The arrays depend only on sizes and
+      live in one grow-only workspace per domain, shared by all handles;
+      nothing is keyed on it, so it never goes stale.
+
+      Ownership: the caller that prepared a handle owns it.  Results of
+      {!exec} stay valid after later runs (they keep copies and channel
+      snapshots, never the handle's state), but a handle runs {e one
+      {!exec} at a time}: two domains must not execute the same handle
+      concurrently.  Different handles may run on different domains at
+      once. *)
+
+  val config : t -> config
+  (** The configuration the handle was prepared for; its [sporadic]
+      field plays no part, {!exec} takes the stamps. *)
+
+  val grid_den : t -> int option
+  (** Ticks per model time unit of the handle's own plan, or [None]
+      when the network runs on the rational core (no common grid). *)
+end
+
+val prepare :
+  Fppn.Network.t -> Taskgraph.Derive.t -> Sched.Static_schedule.t -> config ->
+  Prepared.t
+(** Compiles the network's static part (one [engine.compile] span and
+    [engine.compiles] count).  [config.sporadic] is ignored.
+    @raise Invalid_argument if the schedule does not cover the derived
+    graph, if [frames <= 0], or if the schedule and platform processor
+    counts differ. *)
+
+val exec : Prepared.t -> sporadic:(string * Rt_util.Rat.t list) list -> result
+(** One run of the prepared handle with the given sporadic traces, on
+    the compiled integer-tick core when the handle has a plan and on the
+    exact rational interpreter otherwise; both produce bit-identical
+    results.  The stamps are mapped onto the handle's grid; a stamp off
+    that grid makes this run alone compile a one-off plan including its
+    stamps, counted by [engine.stamp_recompiles], while the handle keeps
+    its own plan.  Traced as one [engine.run] span.
+    @raise Invalid_argument if a sporadic trace names an unknown or
+    periodic process or violates its generator's [(m,T)] constraint. *)
+
 val run :
   Fppn.Network.t -> Taskgraph.Derive.t -> Sched.Static_schedule.t -> config -> result
-(** Runs on the compiled integer-tick core whenever every model time
-    fits a common {!Rt_util.Timebase} grid, falling back to the exact
-    rational interpreter otherwise; both produce bit-identical results.
-    The compiled plan covers the static times only (hyperperiod,
-    overheads, durations, WCETs, arrivals, deadlines) and is memoized
-    per domain, so runs that differ only in their sporadic stamps share
-    it; the stamps are mapped onto its grid per run.  A stamp off that
-    grid makes that run alone compile a one-off plan including its
-    stamps, counted by the [engine.stamp_recompiles] metric; every
-    compile is counted by [engine.compiles].
-    @raise Invalid_argument if the schedule does not cover the derived
-    graph, if [frames <= 0], or if a sporadic trace violates its
-    generator's [(m,T)] constraint. *)
+(** [exec] over a handle held in a single-slot per-domain memo: the
+    handle is reused while net, derivation and schedule are physically
+    the same and the configuration agrees (scalars by value, closures
+    by identity; the sporadic traces play no part), and prepared afresh
+    otherwise.  So repeated runs over one network — benchmarks,
+    re-simulation — compile once, while callers alternating between
+    networks should own their handles instead.
+    @raise Invalid_argument as {!prepare} and {!exec}. *)
 
 val run_reference :
   Fppn.Network.t -> Taskgraph.Derive.t -> Sched.Static_schedule.t -> config -> result

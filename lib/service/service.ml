@@ -15,7 +15,13 @@ type t = {
   procs : int;
   frames : int;
   queue : Ingest.t;
-  mutable residents : Tenant.t list;  (* registration order *)
+  (* the residents in registration order: [slots.(0 .. used - 1)], with
+     [None] for a retired tenant until the next compaction; [index] maps
+     each resident's name to its slot *)
+  mutable slots : Tenant.t option array;
+  mutable used : int;
+  mutable live : int;
+  index : (string, int) Hashtbl.t;
   mutable epochs : int;
   mutable dropped_total : int;
   mutable backpressure_seen : int;  (* Ingest rejects already counted *)
@@ -38,7 +44,10 @@ let create ?(queue_capacity = 1024) ~procs ~frames () =
     procs;
     frames;
     queue = Ingest.create ~capacity:queue_capacity;
-    residents = [];
+    slots = Array.make 16 None;
+    used = 0;
+    live = 0;
+    index = Hashtbl.create 64;
     epochs = 0;
     dropped_total = 0;
     backpressure_seen = 0;
@@ -46,14 +55,29 @@ let create ?(queue_capacity = 1024) ~procs ~frames () =
 
 let procs t = t.procs
 let frames t = t.frames
-let tenants t = t.residents
-let find t name = List.find_opt (fun ten -> ten.Tenant.name = name) t.residents
+
+(* [f slot tenant] over the residents, last registered first *)
+let fold_residents t f acc =
+  let acc = ref acc in
+  for i = t.used - 1 downto 0 do
+    match t.slots.(i) with Some ten -> acc := f i ten !acc | None -> ()
+  done;
+  !acc
+
+let tenants t = fold_residents t (fun _ ten acc -> ten :: acc) []
+
+let find t name =
+  match Hashtbl.find_opt t.index name with
+  | Some i -> t.slots.(i)
+  | None -> None
 
 let resident_interfaces t =
-  List.map (fun ten -> ten.Tenant.interface) t.residents
+  fold_residents t (fun _ ten acc -> ten.Tenant.interface :: acc) []
+
+let set_tenants_gauge t = Metrics.set_gauge g_tenants (float_of_int t.live)
 
 let register ?pool ?inputs t ~name ~wcet net =
-  if find t name <> None then Error (Admission.Duplicate_tenant name)
+  if Hashtbl.mem t.index name then Error (Admission.Duplicate_tenant name)
   else
     let derive = Taskgraph.Derive.derive_exn ~wcet net in
     let cand = Admission.candidate ~name ~wcet net derive in
@@ -72,17 +96,44 @@ let register ?pool ?inputs t ~name ~wcet net =
             ~load:cand.Admission.c_load
             ~lower_bound:cand.Admission.c_lower_bound
         in
-        t.residents <- t.residents @ [ ten ];
-        Metrics.set_gauge g_tenants (float_of_int (List.length t.residents));
+        if t.used = Array.length t.slots then begin
+          let slots = Array.make (2 * t.used) None in
+          Array.blit t.slots 0 slots 0 t.used;
+          t.slots <- slots
+        end;
+        t.slots.(t.used) <- Some ten;
+        Hashtbl.replace t.index name t.used;
+        t.used <- t.used + 1;
+        t.live <- t.live + 1;
+        set_tenants_gauge t;
         Ok ten)
 
+(* Squeezes out the retired slots once they outnumber the residents, so
+   a walk over the slots stays O(residents) and each retirement pays
+   O(1) amortized. *)
+let compact t =
+  let live = ref 0 in
+  for i = 0 to t.used - 1 do
+    match t.slots.(i) with
+    | Some ten ->
+      t.slots.(!live) <- Some ten;
+      Hashtbl.replace t.index ten.Tenant.name !live;
+      incr live
+    | None -> ()
+  done;
+  Array.fill t.slots !live (t.used - !live) None;
+  t.used <- !live
+
 let retire t name =
-  let before = List.length t.residents in
-  t.residents <- List.filter (fun ten -> ten.Tenant.name <> name) t.residents;
-  let removed = List.length t.residents < before in
-  if removed then
-    Metrics.set_gauge g_tenants (float_of_int (List.length t.residents));
-  removed
+  match Hashtbl.find_opt t.index name with
+  | None -> false
+  | Some i ->
+    Hashtbl.remove t.index name;
+    t.slots.(i) <- None;
+    t.live <- t.live - 1;
+    if t.used > 2 * t.live then compact t;
+    set_tenants_gauge t;
+    true
 
 let submit t ~tenant ~process ~stamp =
   let ok =
@@ -103,22 +154,19 @@ let run_epoch ?pool t =
   t.backpressure_seen <- bp;
   let events = Ingest.drain t.queue in
   let drained = List.length events in
-  let by_tenant = Hashtbl.create 16 in
+  (* one index lookup per event groups the batch by resident slot *)
+  let by_slot = Array.make t.used [] in
   let unaddressed = ref 0 in
   List.iter
     (fun (ev : Ingest.event) ->
-      if find t ev.Ingest.ev_tenant = None then incr unaddressed
-      else
-        let prev =
-          Option.value (Hashtbl.find_opt by_tenant ev.Ingest.ev_tenant)
-            ~default:[]
-        in
-        Hashtbl.replace by_tenant ev.Ingest.ev_tenant (ev :: prev))
+      match Hashtbl.find_opt t.index ev.Ingest.ev_tenant with
+      | None -> incr unaddressed
+      | Some i -> by_slot.(i) <- ev :: by_slot.(i))
     events;
-  let legalized_for ten =
-    match Hashtbl.find_opt by_tenant ten.Tenant.name with
-    | None -> ([], 0)
-    | Some evs ->
+  let legalized_for i ten =
+    match by_slot.(i) with
+    | [] -> ([], 0)
+    | evs ->
       let horizon =
         Rat.mul (Rat.of_int t.frames) (Tenant.hyperperiod ten)
       in
@@ -128,7 +176,7 @@ let run_epoch ?pool t =
   in
   let work =
     Array.of_list
-      (List.map (fun ten -> (ten, legalized_for ten)) t.residents)
+      (fold_residents t (fun i ten acc -> (ten, legalized_for i ten) :: acc) [])
   in
   let dropped =
     !unaddressed
@@ -177,7 +225,9 @@ let run_epoch ?pool t =
 let verify ?pool t =
   let ran =
     Array.of_list
-      (List.filter (fun ten -> ten.Tenant.last_signature <> None) t.residents)
+      (List.filter
+         (fun ten -> ten.Tenant.last_signature <> None)
+         (tenants t))
   in
   let check ten =
     let standalone = Tenant.standalone_signature ten ~frames:t.frames in
@@ -206,14 +256,14 @@ let status_json t =
   let total_bandwidth =
     List.fold_left
       (fun acc ten -> Rat.add acc (Mpr.bandwidth ten.Tenant.interface))
-      Rat.zero t.residents
+      Rat.zero (tenants t)
   in
   Json.Obj
     [
       ("procs", Json.Int t.procs);
       ("frames", Json.Int t.frames);
       ("epochs", Json.Int t.epochs);
-      ("tenants", Json.Arr (List.map Tenant.to_json t.residents));
+      ("tenants", Json.Arr (List.map Tenant.to_json (tenants t)));
       ("total_bandwidth", Json.Float (Rat.to_float total_bandwidth));
       ("queue_capacity", Json.Int (Ingest.capacity t.queue));
       ("queue_pending", Json.Int (Ingest.pending t.queue));

@@ -43,6 +43,7 @@ type t = {
   mutable events_consumed : int;
   mutable last_events : (string * Rat.t list) list;
   mutable last_signature : (string * Fppn.Value.t list) list option;
+  mutable engine : Engine.Prepared.t option;
 }
 
 let make ~name ~plan ~interface ~taskset ~load ~lower_bound =
@@ -57,6 +58,7 @@ let make ~name ~plan ~interface ~taskset ~load ~lower_bound =
     events_consumed = 0;
     last_events = [];
     last_signature = None;
+    engine = None;
   }
 
 let hyperperiod t = t.plan.derive.Derive.hyperperiod
@@ -85,9 +87,21 @@ type outcome = {
   misses : int;
 }
 
+(* the tenant's own handle, prepared by its first epoch (and again
+   should the frame count ever change) *)
+let engine t ~frames =
+  match t.engine with
+  | Some p when (Engine.Prepared.config p).Engine.frames = frames -> p
+  | _ ->
+    let p =
+      Engine.prepare t.plan.net t.plan.derive t.plan.schedule
+        (config t ~frames ~sporadic:[])
+    in
+    t.engine <- Some p;
+    p
+
 let run_epoch t ~frames ~sporadic =
-  let cfg = config t ~frames ~sporadic in
-  let r = Engine.run t.plan.net t.plan.derive t.plan.schedule cfg in
+  let r = Engine.exec (engine t ~frames) ~sporadic in
   let signature = Engine.signature r in
   t.epochs_run <- t.epochs_run + 1;
   t.events_consumed <-

@@ -53,6 +53,11 @@ type t = {
       (** the sporadic traces of the most recent epoch *)
   mutable last_signature : (string * Fppn.Value.t list) list option;
       (** output signature of the most recent epoch *)
+  mutable engine : Runtime.Engine.Prepared.t option;
+      (** the tenant's own prepared engine handle: [None] until the first
+          epoch prepares it ({!run_epoch}), so registration never
+          compiles.  The service runs each tenant on one worker at a
+          time, which is the handle's one-[exec]-at-a-time contract. *)
 }
 
 val make :
@@ -86,17 +91,23 @@ type outcome = {
 
 val run_epoch :
   t -> frames:int -> sporadic:(string * Rt_util.Rat.t list) list -> outcome
-(** Runs one epoch on the tenant's plan ({!Runtime.Engine.run}),
-    records [sporadic] and the resulting signature on the tenant, and
-    returns the outcome.  Raises as {!Runtime.Engine.run} (in
-    particular on an illegal sporadic trace — the service legalizes
-    before calling). *)
+(** Runs one epoch on the tenant's own prepared handle
+    ({!Runtime.Engine.exec}; the first epoch prepares it, so each tenant
+    compiles once, not once per epoch), records [sporadic] and the
+    resulting signature on the tenant, and returns the outcome.  Raises
+    as {!Runtime.Engine.exec} (in particular on an illegal sporadic
+    trace — the service legalizes before calling). *)
 
 val standalone_signature :
   t -> frames:int -> (string * Fppn.Value.t list) list
 (** The determinism oracle: re-runs the tenant's {e last} epoch (same
     events, same frames) as a fresh standalone sequential
     {!Runtime.Engine.run} and returns its signature.  Equal to
-    [last_signature] iff co-residency did not perturb the tenant. *)
+    [last_signature] iff co-residency did not perturb the tenant.
+
+    The replay never goes through the tenant's own handle ([engine]):
+    {!Runtime.Engine.run} prepares or reuses a separate handle, so the
+    oracle compares the handle's epochs against an independent
+    execution, not the handle with itself. *)
 
 val to_json : t -> Rt_util.Json.t

@@ -190,7 +190,15 @@ let run_indexed pool ~grain n body =
     let own = ranges.(u) in
     let continue = ref true in
     while !continue do
-      if Atomic.get errors <> None then continue := false
+      (* stop early only once a recorded failure precedes every index
+         left in our range: indices below it must still run, or a
+         smaller failing index could be skipped and the winner would
+         depend on scheduling *)
+      if
+        match Atomic.get errors with
+        | Some (j, _, _) -> j < unpack_lo (Atomic.get own)
+        | None -> false
+      then continue := false
       else begin
         (* claim an adaptive block from the front of our own range *)
         let rec claim () =

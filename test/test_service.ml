@@ -490,6 +490,17 @@ let test_service_end_to_end () =
            | sp -> Some (ten.Tenant.name, Array.of_list (List.map fst sp)))
          (Service.tenants svc))
   in
+  (* compile once per tenant: each tenant's first epoch prepares its
+     engine handle, every later epoch reuses it, and the legalized
+     integer stamps always land on the handle's grid *)
+  let metrics_were = Fppn_obs.Metrics.enabled () in
+  Fppn_obs.Metrics.set_enabled true;
+  Fppn_obs.Metrics.reset ();
+  let counter name =
+    Fppn_obs.Metrics.counter_value (Fppn_obs.Metrics.counter name)
+  in
+  Fun.protect ~finally:(fun () -> Fppn_obs.Metrics.set_enabled metrics_were)
+  @@ fun () ->
   Pool.with_pool ~jobs:3 (fun pool ->
       for epoch = 1 to 2 do
         (* three concurrent producer domains feed the MPSC queue *)
@@ -516,6 +527,11 @@ let test_service_end_to_end () =
           (r.Service.events_consumed + r.Service.events_dropped);
         Alcotest.(check bool) "work happened" true (r.Service.jobs_executed > 0)
       done;
+      Alcotest.(check int) "engine compiles = admitted tenants"
+        (List.length (Service.tenants svc))
+        (counter "engine.compiles");
+      Alcotest.(check int) "no stamp recompiles" 0
+        (counter "engine.stamp_recompiles");
       (* the oracle: every tenant's co-resident epoch equals its
          standalone sequential run *)
       List.iter

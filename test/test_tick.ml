@@ -11,7 +11,8 @@
    machinery's edges: sporadic stamps landing mid-frame must disable
    hyperperiod replay, constant vs. variable durations must flip it on
    and off, >64-process networks must exercise the multi-word hot set,
-   and pooled scratch reuse across runs must stay invisible. *)
+   and reusing a prepared handle and the per-domain workspace across
+   runs must stay invisible. *)
 
 module Rat = Rt_util.Rat
 module Timebase = Rt_util.Timebase
@@ -215,10 +216,11 @@ let test_many_procs () =
     Alcotest.(check bool)
       ">64-process run identical" true (identical tick reference)
 
-(* Plan, state and scratch pools are reused across runs; a second run
-   must be bit-identical to the first, and the first run's lazily
-   materialised results must survive the second run overwriting the
-   pooled arrays (snapshots must not alias the pools). *)
+(* The memoized handle and the workspace are reused across runs; a
+   second run must be bit-identical to the first, and the first run's
+   lazily materialised results must survive the second run overwriting
+   the workspace and resetting the handle's state (snapshots must not
+   alias either). *)
 let test_pooled_reruns () =
   let net, d, sched = fig1_setup ~n_procs:2 in
   let config = Engine.default_config ~frames:6 ~n_procs:2 () in
@@ -227,7 +229,7 @@ let test_pooled_reruns () =
   let r2 = Engine.run net d sched config in
   Alcotest.(check bool)
     "second pooled run identical" true (identical r2 reference);
-  (* force r1's lazy trace/histories only now, after r2 reused the pools *)
+  (* force r1's lazy trace/histories only now, after r2 reused them *)
   Alcotest.(check bool)
     "earlier results survive a later run" true (identical r1 reference)
 
@@ -272,6 +274,207 @@ let test_rat_fallback () =
   Alcotest.(check int) "opaque durations: rational path ran" 0 tick_frames;
   let r2 = Engine.run_reference net d sched (config (profile ())) in
   Alcotest.(check bool) "fallback run identical" true (identical r1 r2)
+
+(* --- prepared handles ------------------------------------------------- *)
+
+(* One handle, many runs: [Engine.exec] on a handle reused across fresh
+   sporadic traces must match the rational reference on every run.
+   Durations are deterministic here ([constant] or [scaled]): a PRNG
+   execution-time model is part of the handle's config and keeps its
+   draw sequence across runs, unlike a fresh reference. *)
+let reuse_matches_reference net d sched ~frames ~n_procs ~exec ~traces =
+  let base =
+    { (Engine.default_config ~frames ~n_procs ()) with Engine.exec = exec }
+  in
+  let p = Engine.prepare net d sched base in
+  List.for_all
+    (fun sporadic ->
+      let r = Engine.exec p ~sporadic in
+      let reference =
+        Engine.run_reference net d sched { base with Engine.sporadic }
+      in
+      Engine.signature r = Engine.signature reference
+      && r.Engine.stats = reference.Engine.stats
+      && r.Engine.unhandled_events = reference.Engine.unhandled_events)
+    traces
+
+let prop_prepared_randgen =
+  qprop "handle reused over 5 traces = reference (randgen)" ~count:60
+    ~print:case_print case_gen
+    (fun c ->
+      let net =
+        Randgen.network
+          {
+            Randgen.default_params with
+            seed = c.seed;
+            n_periodic = c.n_periodic;
+            n_sporadic = c.n_sporadic;
+          }
+      in
+      let wcet = Randgen.wcet ~scale:wcet_scale (Derive.const_wcet Rat.one) net in
+      match Derive.derive ~wcet net with
+      | Error _ -> true
+      | Ok d -> (
+        match snd (List_scheduler.auto ~n_procs:c.n_procs d.Derive.graph) with
+        | None -> true
+        | Some a ->
+          let horizon = Rat.mul d.Derive.hyperperiod (Rat.of_int c.frames) in
+          let traces =
+            List.init 5 (fun k ->
+                Randgen.random_traces ~seed:(c.seed + 7 + k) ~horizon
+                  ~density:0.5 net)
+          in
+          let exec =
+            if c.exec_kind = 2 then Exec_time.scaled 0.5 else Exec_time.constant
+          in
+          reuse_matches_reference net d a.List_scheduler.schedule
+            ~frames:c.frames ~n_procs:c.n_procs ~exec ~traces))
+
+let fms_setup =
+  lazy
+    (let net = Fppn_apps.Fms.reduced () in
+     let d = Derive.derive_exn ~wcet:Fppn_apps.Fms.wcet net in
+     match snd (List_scheduler.auto ~n_procs:2 d.Derive.graph) with
+     | Some a -> (net, d, a.List_scheduler.schedule)
+     | None -> Alcotest.fail "reduced FMS unschedulable")
+
+let prop_prepared_fms =
+  qprop "handle reused over 5 traces = reference (reduced FMS)" ~count:4
+    QCheck2.Gen.(int_range 0 9999)
+    (fun seed ->
+      let net, d, sched = Lazy.force fms_setup in
+      let frames = 2 in
+      let horizon = Rat.mul d.Derive.hyperperiod (Rat.of_int frames) in
+      let traces =
+        List.init 5 (fun k ->
+            Fppn_apps.Fms.random_config_traces ~seed:(seed + k) ~horizon
+              ~density:0.5 net)
+      in
+      reuse_matches_reference net d sched ~frames ~n_procs:2
+        ~exec:Exec_time.constant ~traces)
+
+(* Two handles alternating on one domain share its workspace: each
+   handle's runs must equal fresh reference runs, whatever ran in
+   between. *)
+let test_prepared_interleaved () =
+  let fig_net, fig_d, fig_sched = fig1_setup ~n_procs:2 in
+  let fms_net, fms_d, fms_sched = Lazy.force fms_setup in
+  let config = Engine.default_config ~frames:3 ~n_procs:2 () in
+  let a = Engine.prepare fig_net fig_d fig_sched config in
+  let b = Engine.prepare fms_net fms_d fms_sched config in
+  let fig_ref = Engine.run_reference fig_net fig_d fig_sched config in
+  let fms_ref = Engine.run_reference fms_net fms_d fms_sched config in
+  let ra1 = Engine.exec a ~sporadic:[] in
+  let rb = Engine.exec b ~sporadic:[] in
+  let ra2 = Engine.exec a ~sporadic:[] in
+  (* forced only now, after the other handle reused the workspace *)
+  Alcotest.(check bool) "A first run" true (identical ra1 fig_ref);
+  Alcotest.(check bool) "B between" true (identical rb fms_ref);
+  Alcotest.(check bool) "A again" true (identical ra2 fig_ref)
+
+(* An off-grid stamp costs its run alone a one-off compile: the
+   handle's grid is unchanged and the next on-grid run compiles
+   nothing. *)
+let test_prepared_off_grid () =
+  let net, d, sched = fig1_setup ~n_procs:2 in
+  let config = Engine.default_config ~frames:6 ~n_procs:2 () in
+  let p = Engine.prepare net d sched config in
+  let den = Engine.Prepared.grid_den p in
+  Alcotest.(check bool) "fig1 compiles" true (den <> None);
+  let check_run sporadic =
+    let r = Engine.exec p ~sporadic in
+    Alcotest.(check bool) "run = reference" true
+      (identical r (Engine.run_reference net d sched { config with Engine.sporadic }))
+  in
+  let off_grid = [ ("CoefB", [ Rat.add (ms 650) (Rat.make 1 7919) ]) ] in
+  let (), recompiles =
+    with_counter "engine.stamp_recompiles" (fun () -> check_run off_grid)
+  in
+  Alcotest.(check int) "off-grid stamp: one recompile" 1 recompiles;
+  Alcotest.(check (option int)) "handle keeps its grid" den
+    (Engine.Prepared.grid_den p);
+  let (), compiles =
+    with_counter "engine.compiles" (fun () ->
+        check_run [ ("CoefB", [ ms 650 ]) ])
+  in
+  Alcotest.(check int) "on-grid run after it compiles nothing" 0 compiles
+
+(* The service prepares each tenant's handle on its first epoch and
+   reuses it: 20 tenants served for 5 epochs compile 20 times. *)
+let test_prepared_service () =
+  let svc = Fppn_service.Service.create ~procs:4 ~frames:2 () in
+  for i = 0 to 19 do
+    let net =
+      Randgen.network
+        {
+          Randgen.seed = 9000 + (7919 * i);
+          n_periodic = 2;
+          n_sporadic = 1;
+          periods = [ 50; 100 ];
+          channel_density = 0.4;
+          max_burst = 2;
+        }
+    in
+    let wcet =
+      Randgen.wcet ~scale:(Rat.make 1 2000) (Derive.const_wcet Rat.one) net
+    in
+    match
+      Fppn_service.Service.register svc ~name:(Printf.sprintf "t%02d" i) ~wcet net
+    with
+    | Ok _ -> ()
+    | Error _ -> Alcotest.failf "tenant %d rejected" i
+  done;
+  let (), compiles =
+    with_counter "engine.compiles" (fun () ->
+        for epoch = 1 to 5 do
+          List.iteri
+            (fun i ten ->
+              match Fppn_service.Tenant.sporadic_events ten with
+              | (process, _) :: _ ->
+                ignore
+                  (Fppn_service.Service.submit svc
+                     ~tenant:ten.Fppn_service.Tenant.name ~process
+                     ~stamp:(ms (((epoch * 37) + (i * 11)) mod 200)))
+              | [] -> ())
+            (Fppn_service.Service.tenants svc);
+          ignore (Fppn_service.Service.run_epoch svc)
+        done)
+  in
+  Alcotest.(check int) "one compile per tenant" 20 compiles;
+  List.iter
+    (fun (name, ok) -> Alcotest.(check bool) ("oracle " ^ name) true ok)
+    (Fppn_service.Service.verify svc)
+
+(* Runners are per run and the state is reused: a counting runner
+   counts exactly the accesses made through it, a plain one counts
+   none, and counting leaves the channel histories untouched. *)
+let test_prepared_counting_toggle () =
+  let net = Fppn_apps.Fig1.network () in
+  let n = Fppn.Network.n_processes net in
+  let run_all ?counting st =
+    let r = Fppn.Netstate.runner ?counting st in
+    for p = 0 to n - 1 do
+      Fppn.Netstate.run_job_fast r ~proc:p ~now:(ms 0)
+    done
+  in
+  let st = Fppn.Netstate.create net in
+  run_all st;
+  Alcotest.(check int) "plain: nothing counted" 0 (Fppn.Netstate.access_count st);
+  run_all ~counting:true st;
+  let counted = Fppn.Netstate.access_count st in
+  Alcotest.(check bool) "counting: accesses counted" true (counted > 0);
+  Fppn.Netstate.reset st;
+  run_all st;
+  Alcotest.(check int) "plain again after reset" 0 (Fppn.Netstate.access_count st);
+  run_all ~counting:true st;
+  Alcotest.(check int) "counting again: same count per round" counted
+    (Fppn.Netstate.access_count st);
+  let plain = Fppn.Netstate.create net in
+  run_all plain;
+  run_all plain;
+  Alcotest.(check bool) "histories unaffected by counting" true
+    (Fppn.Netstate.channel_history st = Fppn.Netstate.channel_history plain
+    && Fppn.Netstate.output_history st = Fppn.Netstate.output_history plain)
 
 (* --- Timebase -------------------------------------------------------- *)
 
@@ -375,6 +578,19 @@ let () =
           Alcotest.test_case "basic" `Quick test_timebase_basic;
           Alcotest.test_case "overflow" `Quick test_timebase_overflow;
           prop_timebase_roundtrip;
+        ] );
+      ( "prepared",
+        [
+          prop_prepared_randgen;
+          prop_prepared_fms;
+          Alcotest.test_case "handles A, B, A on one domain" `Quick
+            test_prepared_interleaved;
+          Alcotest.test_case "off-grid stamp keeps the handle's plan" `Quick
+            test_prepared_off_grid;
+          Alcotest.test_case "20 tenants, 5 epochs: 20 compiles" `Quick
+            test_prepared_service;
+          Alcotest.test_case "counting and plain runners on one state" `Quick
+            test_prepared_counting_toggle;
         ] );
       ("pool", [ prop_pool_order; prop_pool_for ]);
     ]
