@@ -268,11 +268,7 @@ let sporadic_traces app d ~frames ~seed ~density =
       (List.init (Network.n_processes app.net) Fun.id)
   in
   (* drop horizon-edge events the simulation cannot handle *)
-  let _, unhandled = Engine.sporadic_assignment app.net d ~frames traces in
-  List.map
-    (fun (n, stamps) ->
-      (n, List.filter (fun s -> not (List.mem (n, s) unhandled)) stamps))
-    traces
+  Engine.handled_traces app.net d ~frames traces
 
 (* --- subcommands -------------------------------------------------------- *)
 

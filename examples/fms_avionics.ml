@@ -32,13 +32,7 @@ let () =
       Printf.printf "  %-18s %d command(s)\n" name (List.length stamps))
     traces;
   (* exclude the horizon-edge events the simulated window cannot handle *)
-  let traces =
-    let _, unhandled = Engine.sporadic_assignment net d ~frames:1 traces in
-    List.map
-      (fun (n, stamps) ->
-        (n, List.filter (fun s -> not (List.mem (n, s) unhandled)) stamps))
-      traces
-  in
+  let traces = Engine.handled_traces net d ~frames:1 traces in
 
   (* schedule and execute on 1 and 2 processors *)
   List.iter

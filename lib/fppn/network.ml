@@ -174,7 +174,6 @@ let inputs t = List.filter (fun io -> io.dir = In) t.ios
 let outputs t = List.filter (fun io -> io.dir = Out) t.ios
 let io_of t pname = List.filter (fun io -> io.owner = pname) t.ios
 let fp_edges t = t.fp
-let fp_graph t = Digraph.copy t.fp_dag
 
 let related t p q = Digraph.has_edge t.fp_dag p q || Digraph.has_edge t.fp_dag q p
 let higher_priority t p q = Digraph.has_edge t.fp_dag p q
@@ -185,14 +184,6 @@ let channels_between t p q =
   List.filter
     (fun c -> (c.writer = np && c.reader = nq) || (c.writer = nq && c.reader = np))
     t.chans
-
-let in_channels_of t p =
-  let np = Process.name t.procs.(p) in
-  List.filter (fun c -> c.reader = np) t.chans
-
-let out_channels_of t p =
-  let np = Process.name t.procs.(p) in
-  List.filter (fun c -> c.writer = np) t.chans
 
 let hyperperiod t =
   Rat.lcm_list (Array.to_list (Array.map Process.period t.procs))

@@ -89,9 +89,6 @@ val io_of : t -> string -> io_decl list
 val fp_edges : t -> (int * int) list
 (** Functional-priority edges over process indices. *)
 
-val fp_graph : t -> Rt_util.Digraph.t
-(** A copy of the FP DAG; mutating it does not affect the network. *)
-
 val related : t -> int -> int -> bool
 (** The [p ./ q] relation: a direct FP edge in either direction. *)
 
@@ -104,11 +101,6 @@ val fp_rank : t -> int -> int
 
 val channels_between : t -> int -> int -> channel_decl list
 (** Channels with these endpoints, in either direction. *)
-
-val in_channels_of : t -> int -> channel_decl list
-(** Internal channels read by a process. *)
-
-val out_channels_of : t -> int -> channel_decl list
 
 val hyperperiod : t -> Rt_util.Rat.t
 (** [lcm] of all process periods (sporadic processes contribute their

@@ -134,20 +134,6 @@ let end_span b =
   a.total <- a.total + total;
   a.self <- a.self + self
 
-let with_span_id id f =
-  if not !on then f ()
-  else begin
-    let b = my_buf () in
-    begin_span b id;
-    match f () with
-    | v ->
-      end_span b;
-      v
-    | exception e ->
-      end_span b;
-      raise e
-  end
-
 let with_span name f =
   if not !on then f ()
   else begin
@@ -162,7 +148,7 @@ let with_span name f =
       raise e
   end
 
-(* Closure-free span edges for hot loops: [with_span_id] allocates a
+(* Closure-free span edges for hot loops: [with_span] allocates a
    closure per call site when its body captures loop state, which is
    exactly what the tick engine's per-job spans would do.  The caller
    must pair begin/end; an escaping exception between them loses the

@@ -43,13 +43,9 @@ val with_span : string -> (unit -> 'a) -> 'a
     [f] returns {e or raises}.  Spans nest; the recorder maintains a
     per-domain stack so {!hotspots} can attribute self time. *)
 
-val with_span_id : id -> (unit -> 'a) -> 'a
-(** {!with_span} with a pre-interned name — no hash lookup on the
-    record path. *)
-
 val span_begin : id -> unit
 (** Opens a span on the calling domain's stack without wrapping a
-    closure — the zero-allocation form of {!with_span_id} for hot
+    closure — the zero-allocation form of {!with_span} for hot
     loops whose body would otherwise capture loop state.  Must be
     balanced by {!span_end}; an exception escaping between the two
     loses the open span. *)

@@ -160,6 +160,15 @@ let sporadic_assignment net (derived : Derive.t) ~frames traces =
   in
   (table, unhandled)
 
+let handled_traces net derived ~frames traces =
+  let unhandled =
+    assign_windows net derived ~frames traces ~place:(fun _ _ -> ())
+  in
+  let handled name s =
+    not (List.exists (fun (n, u) -> String.equal n name && Rat.equal u s) unhandled)
+  in
+  List.map (fun (name, stamps) -> (name, List.filter (handled name) stamps)) traces
+
 type proc_state = {
   order : int array;
   mutable frame : int;

@@ -164,6 +164,18 @@ val sporadic_assignment :
     slots per frame.  The [(m,T)] validity check is one pass too.
     @raise Invalid_argument as {!run} on an invalid trace. *)
 
+val handled_traces :
+  Fppn.Network.t ->
+  Taskgraph.Derive.t ->
+  frames:int ->
+  (string * Rt_util.Rat.t list) list ->
+  (string * Rt_util.Rat.t list) list
+(** [traces] without the events {!sporadic_assignment} leaves unhandled
+    (a window after the simulated horizon, or past its burst) — the
+    event set a run actually handles, which a zero-delay reference over
+    the same horizon must be given.
+    @raise Invalid_argument as {!sporadic_assignment}. *)
+
 val signature : result -> (string * Fppn.Value.t list) list
 (** Channel write sequences (internal + external outputs), sorted by
     name — directly comparable with [Fppn.Semantics.signature]. *)

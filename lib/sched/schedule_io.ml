@@ -218,11 +218,3 @@ let save_sections ~variant ~n_procs path sections =
   Fun.protect
     ~finally:(fun () -> close_out oc)
     (fun () -> output_string oc (sections_to_json ~variant ~n_procs sections))
-
-let load_sections path =
-  match open_in path with
-  | exception Sys_error msg -> Error msg
-  | ic ->
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> sections_of_json (really_input_string ic (in_channel_length ic)))

@@ -61,5 +61,3 @@ val sections_of_json : string -> (string * int * section list, string) result
 
 val save_sections : variant:string -> n_procs:int -> string -> section list -> unit
 (** [save_sections ~variant ~n_procs path sections]. *)
-
-val load_sections : string -> (string * int * section list, string) result

@@ -61,9 +61,6 @@ let topo_order t = t.topo
 let sources t =
   List.filter (fun i -> Digraph.in_degree t.dag i = 0) (List.init (n_jobs t) Fun.id)
 
-let sinks t =
-  List.filter (fun i -> Digraph.out_degree t.dag i = 0) (List.init (n_jobs t) Fun.id)
-
 let jobs_of_process t p = try Hashtbl.find t.by_proc p with Not_found -> []
 
 let find_job t ~proc ~k =

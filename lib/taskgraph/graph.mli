@@ -24,7 +24,6 @@ val topo_order : t -> int list
 (** Deterministic topological order, computed once. *)
 
 val sources : t -> int list
-val sinks : t -> int list
 
 val jobs_of_process : t -> int -> int list
 (** Job ids of one source process, ascending [k]. *)

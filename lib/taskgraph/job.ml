@@ -16,7 +16,3 @@ let label j = Printf.sprintf "%s[%d]" j.proc_name j.k
 let pp ppf j =
   Format.fprintf ppf "%s (%a,%a,%a)" (label j) Rat.pp j.arrival Rat.pp
     j.deadline Rat.pp j.wcet
-
-let compare_by_arrival a b =
-  let c = Rat.compare a.arrival b.arrival in
-  if c <> 0 then c else Int.compare a.id b.id

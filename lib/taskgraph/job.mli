@@ -21,6 +21,3 @@ val pp : Format.formatter -> t -> unit
 
 val label : t -> string
 (** [name\[k\]]. *)
-
-val compare_by_arrival : t -> t -> int
-(** Ascending arrival, ties by id. *)

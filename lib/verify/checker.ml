@@ -61,11 +61,7 @@ let sporadic_traces net d ~frames ~seed ~density =
         else None)
       (List.init (Network.n_processes net) Fun.id)
   in
-  let _, unhandled = Engine.sporadic_assignment net d ~frames raw in
-  List.map
-    (fun (n, stamps) ->
-      (n, List.filter (fun s -> not (List.mem (n, s) unhandled)) stamps))
-    raw
+  Engine.handled_traces net d ~frames raw
 
 let run ?(config = default_config) ~wcet net =
   let checks = ref [] in

@@ -63,12 +63,8 @@ let test_engine_behavior_end_to_end () =
   let sporadic =
     (* exclude horizon-edge events whose server window closes in the
        unsimulated next frame *)
-    let raw = Fppn_apps.Automotive.knock_burst ~horizon in
-    let _, unhandled = Engine.sporadic_assignment net d ~frames:1 raw in
-    List.map
-      (fun (n, stamps) ->
-        (n, List.filter (fun s -> not (List.mem (n, s) unhandled)) stamps))
-      raw
+    Engine.handled_traces net d ~frames:1
+      (Fppn_apps.Automotive.knock_burst ~horizon)
   in
   let config =
     { (Engine.default_config ~frames:1 ~n_procs:2 ()) with

@@ -26,20 +26,6 @@ let eq_sig a b =
 let qprop name ?(count = 25) gen f =
   QCheck_alcotest.to_alcotest (QCheck2.Test.make ~name ~count gen f)
 
-(* Keep only sporadic events that fall inside windows handled within the
-   simulated horizon, so the zero-delay reference sees the same event
-   set as the runtime (horizon-edge events are reported as unhandled by
-   the engine and excluded here). *)
-let handled_traces net d ~frames traces =
-  let _, unhandled = Engine.sporadic_assignment net d ~frames traces in
-  List.map
-    (fun (name, stamps) ->
-      ( name,
-        List.filter
-          (fun s -> not (List.exists (fun (n, u) -> n = name && Rat.equal u s) unhandled))
-          stamps ))
-    traces
-
 let pipeline ?(frames = 2) ?(n_procs = 2) ?(seed = 1) params =
   let net = Fppn_apps.Randgen.network params in
   let wcet =
@@ -54,7 +40,7 @@ let pipeline ?(frames = 2) ?(n_procs = 2) ?(seed = 1) params =
     let raw_traces =
       Fppn_apps.Randgen.random_traces ~seed ~horizon ~density:0.5 net
     in
-    let traces = handled_traces net d ~frames raw_traces in
+    let traces = Engine.handled_traces net d ~frames raw_traces in
     let config =
       { (Engine.default_config ~frames ~n_procs ()) with
         Engine.sporadic = traces;
@@ -177,7 +163,7 @@ let prop_ta_backend_on_random_networks =
         let raw =
           Fppn_apps.Randgen.random_traces ~seed:1 ~horizon ~density:0.5 net
         in
-        let traces = handled_traces net d ~frames:1 raw in
+        let traces = Engine.handled_traces net d ~frames:1 raw in
         let config = { config with Engine.sporadic = traces } in
         let ta =
           Timedauto.Translate.execute
@@ -234,13 +220,7 @@ let test_fms_pipeline () =
   let traces =
     Fppn_apps.Fms.random_config_traces ~seed:3 ~horizon ~density:0.4 net
   in
-  let traces =
-    let _, unhandled = Engine.sporadic_assignment net d ~frames:1 traces in
-    List.map
-      (fun (n, stamps) ->
-        (n, List.filter (fun s -> not (List.mem (n, s) unhandled)) stamps))
-      traces
-  in
+  let traces = Engine.handled_traces net d ~frames:1 traces in
   let config =
     { (Engine.default_config ~frames:1 ~n_procs:1 ()) with
       Engine.sporadic = traces;

@@ -279,6 +279,15 @@ let test_unhandled_horizon_events () =
     [ ("S", ms 250) ]
     rt.Engine.unhandled_events
 
+let test_handled_traces () =
+  (* open-right windows, 3 frames of 100: 150 is handled at b=200,
+     250 only at b=300, past the horizon *)
+  let net = boundary_net ~sporadic_first:false in
+  let d = Derive.derive_exn ~wcet:(Derive.const_wcet (ms 10)) net in
+  Alcotest.(check (list (pair string (list rat)))) "edge stamp dropped"
+    [ ("S", [ ms 150 ]) ]
+    (Engine.handled_traces net d ~frames:3 [ ("S", [ ms 150; ms 250 ]) ])
+
 (* --- one-pass sporadic prologue ------------------------------------------ *)
 
 module Graph = Taskgraph.Graph
@@ -728,6 +737,7 @@ let () =
             test_boundary_assignment_slots;
           Alcotest.test_case "unhandled horizon events" `Quick
             test_unhandled_horizon_events;
+          Alcotest.test_case "handled traces" `Quick test_handled_traces;
         ] );
       ( "sporadic-prologue",
         [
